@@ -23,14 +23,17 @@ story, Figure 6):
   releases the GIL on the heavy vector ops) and ``"process"``
   (persistent worker processes with shared-memory operands — true
   multi-core execution in pure NumPy).
-* **Blocked partial reduction.** Workers accumulate into *compact
-  row-blocks*: each chunk touches only the output rows whose index
-  values appear in its non-zeros, so its partial is ``(rows_c, S)``
-  instead of a private full ``(I, S)`` copy. Total reduction memory is
-  ``I·S + Σ_c rows_c·S ≈ I·S`` rather than ``p·I·S``, and the final
-  reduce is one indexed add per chunk. All partial buffers are declared
-  against the job context's :class:`~repro.runtime.budget.MemoryBudget`
-  (the ambient one when no explicit context is given).
+* **One execution model: owned shards.** Each chunk range is a
+  :class:`~repro.parallel.sharding.TensorShard` owned by one worker,
+  which accumulates into a *compact row-block*: the output rows whose
+  index values appear in its non-zeros, ``(rows_c, S)`` instead of a
+  private full ``(I, S)`` copy. Total reduction memory is
+  ``I·S + Σ_c rows_c·S`` rather than ``p·I·S``, and the partials merge
+  through the deterministic
+  :func:`~repro.parallel.sharding.hierarchical_merge`, so every backend
+  returns the same bits. All partial buffers are declared against the
+  job context's :class:`~repro.runtime.budget.MemoryBudget` (the
+  ambient one when no explicit context is given).
 """
 
 from __future__ import annotations
@@ -71,15 +74,14 @@ class ChunkPlan:
     scatter touches (exactly the distinct index values of its non-zeros);
     ``row_map`` maps global row ids to ``0..len(rows)-1`` (``-1``
     elsewhere) and is handed to the engine as ``out_row_map``. ``plan``
-    is the chunk's lattice plan; it is ``None`` for structure-only
-    entries (the process backend builds lattices worker-side).
+    is the chunk's lattice plan.
     """
 
     start: int
     stop: int
     rows: np.ndarray
     row_map: np.ndarray
-    plan: Optional[TTMcPlan]
+    plan: TTMcPlan
     build_seconds: float = 0.0
 
     @property
@@ -117,8 +119,8 @@ class ParallelRunReport:
     chunk_seconds: List[float] = field(default_factory=list)
     elapsed: float = 0.0
     backend: str = ""
-    reduction: str = ""
-    sharding: str = ""
+    #: Tensor distribution: always ``"owned"`` (one shard per worker).
+    sharding: str = "owned"
     shard_reingests: int = 0
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
@@ -162,7 +164,6 @@ class ParallelJob:
     ranges: Tuple[Tuple[int, int], ...]
     memoize: str
     cols: int
-    reduction: str
     tensor: object  # SparseSymmetricTensor — plan-cache anchor
     #: The run's (snapshotted) ExecContext: budget/collector travel with
     #: the job into worker threads and (as a budget spec) processes.
@@ -173,10 +174,6 @@ class ParallelJob:
     kernel: str = "generic"
     #: Compiled-kernel chunk size (``None`` = tuned default).
     chunk_edges: Optional[int] = None
-    #: Tensor distribution: ``"broadcast"`` (whole tensor to every
-    #: worker) or ``"owned"`` (disjoint per-worker shards merged by the
-    #: hierarchical reduction — see :mod:`repro.parallel.sharding`).
-    sharding: str = "broadcast"
 
     @property
     def order(self) -> int:
@@ -209,7 +206,6 @@ def get_chunk_plans(
     ranges: Sequence[Tuple[int, int]],
     memoize: str = "global",
     *,
-    with_lattice: bool = True,
     report: Optional[ParallelRunReport] = None,
     ctx: Optional[ExecContext] = None,
 ) -> List[ChunkPlan]:
@@ -222,50 +218,26 @@ def get_chunk_plans(
     — the pattern of a :class:`~repro.formats.ucoo.SparseSymmetricTensor`
     is immutable by convention, so each chunk's lattice is built exactly
     once per cache and reused across all kernel calls and decomposition
-    iterations. Pass ``with_lattice=False`` for structure-only entries
-    (row blocks without lattices — the process backend builds lattices
-    worker-side); a later ``with_lattice=True`` call upgrades the cached
-    entry in place.
+    iterations.
     """
     ctx = resolve_context(ctx)
     cache = ctx.plans.chunk_plans(tensor)
     key = (tuple(ranges), memoize)
     plans = cache.get(key)
-    if plans is not None and (
-        not with_lattice or all(cp.plan is not None for cp in plans)
-    ):
-        # Structure-only lookups don't count: the hit/miss counters track
-        # lattice builds (the process backend reports its worker-side
-        # builds separately).
-        if with_lattice:
-            _count_cache(len(plans), 0, report, ctx)
+    if plans is not None:
+        _count_cache(len(plans), 0, report, ctx)
         return plans
 
     indices = tensor.indices
-    dim = tensor.dim
-    hits = 0
-    misses = 0
     out: List[ChunkPlan] = []
     for slot, (start, stop) in enumerate(ranges):
-        prev = plans[slot] if plans is not None else None
-        if prev is not None and (prev.plan is not None or not with_lattice):
-            out.append(prev)
-            hits += 1
-            continue
-        misses += 1
-        if prev is not None:
-            rows, row_map = prev.rows, prev.row_map
-        else:
-            rows, row_map = chunk_row_block(indices[start:stop], dim)
-        plan = None
-        build_seconds = 0.0
-        if with_lattice:
-            with ctx.span(
-                "parallel.plan_build", chunk=slot, nz_start=start, nz_stop=stop
-            ):
-                tick = time.perf_counter()
-                plan = build_plan(indices[start:stop], memoize)
-                build_seconds = time.perf_counter() - tick
+        rows, row_map = chunk_row_block(indices[start:stop], tensor.dim)
+        with ctx.span(
+            "parallel.plan_build", chunk=slot, nz_start=start, nz_stop=stop
+        ):
+            tick = time.perf_counter()
+            plan = build_plan(indices[start:stop], memoize)
+            build_seconds = time.perf_counter() - tick
         out.append(
             ChunkPlan(
                 start=start,
@@ -277,10 +249,9 @@ def get_chunk_plans(
             )
         )
     cache[key] = out
-    if with_lattice:
-        _count_cache(hits, misses, report, ctx)
-        if report is not None:
-            report.plan_build_seconds += sum(cp.build_seconds for cp in out)
+    _count_cache(0, len(out), report, ctx)
+    if report is not None:
+        report.plan_build_seconds += sum(cp.build_seconds for cp in out)
     return out
 
 
@@ -293,19 +264,23 @@ def parallel_s3ttmc(
     memoize: str = "global",
     kernel: str = "generic",
     chunk_edges: Optional[int] = None,
-    reduction: Optional[str] = None,
-    sharding: Optional[str] = None,
     report: Optional[ParallelRunReport] = None,
     ctx: Optional[ExecContext] = None,
 ) -> PartiallySymmetricTensor:
-    """S³TTMc over balanced non-zero chunks on a pluggable backend.
+    """S³TTMc over balanced non-zero shards on a pluggable backend.
+
+    Each worker owns one cost-balanced
+    :class:`~repro.parallel.sharding.TensorShard`; the shard partials
+    merge through the hierarchical cross-shard reduction, so serial,
+    thread and process runs are bitwise-equal. The largest per-worker
+    resident tensor bytes land in the ``parallel.shard_bytes`` gauge.
 
     Parameters
     ----------
     tensor, factor:
         As :func:`repro.core.s3ttmc.s3ttmc`.
     n_workers:
-        Worker count (chunk count equals it). Defaults to the context's
+        Worker count (shard count equals it). Defaults to the context's
         ``n_workers``, then the backend's worker count when a live
         backend instance is used, else ``os.cpu_count()``.
     backend:
@@ -324,20 +299,6 @@ def parallel_s3ttmc(
         shipped spec and reuse worker-side table caches).
     chunk_edges:
         Compiled-kernel fused chunk size (``None`` = tuned default).
-    reduction:
-        ``"blocked"`` (compact row-block partials, ``~I·S`` reduction
-        memory) or ``"tree"`` (full-width private partials reduced
-        pairwise — the legacy layout, kept for comparison). ``None``
-        defaults to the context's ``reduction`` (``"blocked"``).
-    sharding:
-        ``"broadcast"`` (every worker sees the whole tensor — the
-        legacy, byte-compatible layout) or ``"owned"`` (each worker
-        owns a disjoint :class:`~repro.parallel.sharding.TensorShard`
-        and partials merge through the hierarchical cross-shard
-        reduction; requires ``reduction="blocked"``). ``None`` defaults
-        to the context's ``sharding`` (``"broadcast"``). Per-worker
-        resident tensor bytes for the chosen mode land in the
-        ``parallel.shard_bytes`` gauge.
     report:
         Optional :class:`ParallelRunReport` to fill.
     ctx:
@@ -356,19 +317,6 @@ def parallel_s3ttmc(
     factor = np.asarray(factor, dtype=np.float64)
     if factor.ndim != 2 or factor.shape[0] != ucoo.dim:
         raise ValueError(f"factor must be ({ucoo.dim}, R), got {factor.shape}")
-    if reduction is None:
-        reduction = ctx.reduction
-    if reduction not in ("blocked", "tree"):
-        raise ValueError(f"unknown reduction {reduction!r}")
-    if sharding is None:
-        sharding = getattr(ctx, "sharding", "broadcast")
-    if sharding not in ("broadcast", "owned"):
-        raise ValueError(f"unknown sharding {sharding!r}")
-    if sharding == "owned" and reduction != "blocked":
-        raise ValueError(
-            "sharding='owned' requires reduction='blocked' (shard "
-            "row-blocks are what the hierarchical reduction exchanges)"
-        )
     rank = factor.shape[1]
     cols = sym_storage_size(ucoo.order - 1, rank)
     if n_workers is None:
@@ -405,29 +353,23 @@ def parallel_s3ttmc(
         ranges=ranges,
         memoize=memoize,
         cols=cols,
-        reduction=reduction,
         tensor=ucoo,
         ctx=run_ctx,
         kernel=kernel,
         chunk_edges=chunk_edges,
-        sharding=sharding,
     )
     if report is not None:
         report.n_workers = n_workers
         report.ranges = list(ranges)
         report.backend = backend.name
-        report.reduction = reduction
-        report.sharding = sharding
         report.chunk_seconds = [0.0] * len(ranges)
 
-    # Per-worker resident tensor bytes under the chosen distribution —
-    # the gauge the sharded-memory acceptance criterion reads.
+    # Largest per-worker resident tensor bytes — the gauge the
+    # sharded-memory acceptance criterion reads.
     collector = ctx.effective_collector()
     if collector is not None:
         collector.metrics.gauge("parallel.shard_bytes").set(
-            shard_resident_bytes(
-                ucoo.unnz, ucoo.order, ranges, sharding=sharding
-            )
+            shard_resident_bytes(ucoo.order, ranges)
         )
 
     policy = ctx.effective_fallback()
@@ -440,8 +382,6 @@ def parallel_s3ttmc(
                     backend=backend.name,
                     n_workers=n_workers,
                     n_chunks=len(ranges),
-                    reduction=reduction,
-                    sharding=sharding,
                 ):
                     data = backend.execute(job, report)
                 break

@@ -1,19 +1,17 @@
 """Tensor shards and the hierarchical cross-shard reduction.
 
-The structure layer of sharded execution (ROADMAP item 5): instead of
-broadcasting the whole tensor to every worker and sharding only the
-non-zero *ranges*, each worker owns a disjoint :class:`TensorShard` — a
-contiguous slice of the IOU non-zero list plus the private row-block of
-``Y`` its top-level scatter touches (the blocked symmetric layout of
-Schatz et al., applied to the unique-index representation).
+The structure layer of the one execution model every backend runs: each
+worker owns a disjoint :class:`TensorShard` — a contiguous slice of the
+IOU non-zero list plus the private row-block of ``Y`` its top-level
+scatter touches (the blocked symmetric layout of Schatz et al., applied
+to the unique-index representation).
 
 Two pieces live here because everything above needs them agree exactly:
 
 * :func:`build_shards` — the cost-balanced sharder. It reuses the same
-  cached :func:`partition_ranges` the chunked executor uses, so a
-  shard's non-zero slice is bit-identical to the matching chunk of a
-  broadcast run and per-shard partials are bitwise-reproducible across
-  backends.
+  cached :func:`partition_ranges` the executor uses, so a shard's
+  non-zero slice is exactly the matching chunk range and per-shard
+  partials are bitwise-reproducible across backends.
 * :func:`hierarchical_merge` — the deterministic pairwise-tree reduction
   over ``(rows, block)`` shard partials. Adjacent shards merge each
   round (odd tail carries), always left-then-right, so the summation
@@ -95,7 +93,7 @@ class TensorShard:
     ``indices``/``values`` are zero-copy views of the parent tensor's
     contiguous ``[start, stop)`` slice — the parent keeps the canonical
     copy, which is what makes shard *re-ingest* after a worker loss a
-    re-send of this slice rather than a whole-tensor re-broadcast.
+    re-send of this slice alone.
     ``rows``/``row_map`` describe the private compact row-block exactly
     as :func:`chunk_row_block` builds it for a chunk, so a shard partial
     is bitwise-identical to the matching chunk partial.
@@ -172,20 +170,13 @@ def build_shards(
     return shards_for_ranges(tensor, ranges, rank)
 
 
-def shard_resident_bytes(
-    unnz: int, order: int, ranges: Sequence[Tuple[int, int]], *, sharding: str
-) -> int:
-    """Max per-worker resident tensor bytes under a distribution mode.
+def shard_resident_bytes(order: int, ranges: Sequence[Tuple[int, int]]) -> int:
+    """Max per-worker resident tensor bytes: the widest shard's slice.
 
-    ``"broadcast"`` ships all ``unnz`` non-zeros to every worker;
-    ``"owned"`` ships each worker only its widest shard. One non-zero is
-    ``order`` int64 index entries plus one float64 value.
+    One non-zero is ``order`` int64 index entries plus one float64 value.
     """
-    per_nz = order * 8 + 8
-    if sharding == "owned":
-        widest = max((stop - start for start, stop in ranges), default=0)
-        return widest * per_nz
-    return int(unnz) * per_nz
+    widest = max((stop - start for start, stop in ranges), default=0)
+    return widest * (order * 8 + 8)
 
 
 def _pairings(n: int) -> List[List[Tuple[int, int]]]:
@@ -255,9 +246,9 @@ def hierarchical_merge(
     adjacent pairs (left block scattered first, right added second, onto
     the union row set), an odd tail carries. The summation order depends
     only on the shard layout, so every backend running the same shards
-    produces a bitwise-identical result. Cross-shard sums are reordered
-    relative to the slot-ordered broadcast reduce, so sharded-vs-
-    broadcast agreement is allclose, not bitwise.
+    produces a bitwise-identical result. Against the unchunked serial
+    kernel the partition reorders the sums, so that agreement is
+    allclose, not bitwise.
 
     Each merge emits a ``parallel.reduce.exchange`` event (matching
     :func:`merge_schedule` record-for-record) and transient union blocks

@@ -3,11 +3,10 @@
 The process backend ships operands to persistent worker processes via
 ``multiprocessing.shared_memory`` instead of pickling them per call:
 
-* **indices / values** — written once per tensor generation, mapped
-  read-only by every worker (broadcast distribution), or shipped as
-  disjoint per-worker *shard* segments holding only each worker's
-  contiguous non-zero slice (owned distribution — chunk ranges then
-  arrive in shard-local coordinates);
+* **indices / values** — shipped as disjoint per-worker *shard*
+  segments holding only each worker's contiguous non-zero slice,
+  written once per tensor and partition (chunk ranges arrive in
+  shard-local coordinates);
 * **factor** — one buffer rewritten in place each kernel call (it is the
   only operand that changes across HOOI/HOQRI iterations; same name ⇒
   workers keep their mapping);
@@ -28,7 +27,7 @@ decides: arming lives parent-side so fault plans replay
 deterministically.
 
 Workers cache their chunk plans across calls keyed on
-``(tensor generation, chunk range, memoize)`` — the process-side half of
+``(shard generation, chunk range, memoize)`` — the process-side half of
 the executor's plan cache, which is what makes iteration 2..n of a
 decomposition pay zero symbolic cost on every core. A respawned worker
 starts with an empty cache and rewarms it on demand (visible as plan
@@ -377,18 +376,18 @@ class _WorkerState:
     def __init__(self, untrack_attach: bool = False, run_token: str = "") -> None:
         self.untrack_attach = untrack_attach
         self.run_token = run_token
-        self.tensor_gen = -1
-        self.shard_id = -1  # >= 0 when this worker owns a tensor shard
+        self.shard_gen = -1
+        self.shard_id = -1  # >= 0 once this worker owns a tensor shard
         self.dim = 0
         self.segments: Dict[str, SharedMemory] = {}
         self.indices: Optional[np.ndarray] = None
         self.values: Optional[np.ndarray] = None
         self.factor: Optional[np.ndarray] = None
         self.factor_name = ""
-        # (tensor_gen, start, stop, memoize) -> (plan, rows, row_map)
+        # (shard_gen, start, stop, memoize) -> (plan, rows, row_map)
         self.plan_cache: Dict[tuple, tuple] = {}
         # Worker-side PlanCache: compiled-kernel gather tables persist
-        # across chunk calls (keyed by plan stamp, so a new tensor
+        # across chunk calls (keyed by plan stamp, so a new shard
         # generation — new pattern — can never hit stale tables).
         from ..runtime.context import PlanCache
 
@@ -502,7 +501,7 @@ def _run_chunk(
         budget.in_use = int(base_in_use)
         budget.peak = int(base_in_use)
 
-    key = (state.tensor_gen, start, stop, memoize)
+    key = (state.shard_gen, start, stop, memoize)
     cached = state.plan_cache.get(key)
     hit = cached is not None
     build_seconds = 0.0
@@ -562,17 +561,20 @@ def worker_main(
 ) -> None:
     """Persistent worker loop; one per process, fed over a duplex pipe.
 
+    Once started up the worker sends ``("ready", -1)``: under ``spawn``
+    the interpreter start-up can outlast the parent's ``chunk_timeout``,
+    so the parent starts a worker's silence clock only from this message
+    instead of counting the boot as a hang.
+
     Messages (tuples, first element is the op):
 
-    ``("tensor", gen, idx_spec, val_spec, dim)``
-        Attach a new tensor generation read-only; invalidates nothing —
-        old plans stay keyed under their generation.
     ``("shard", gen, shard_id, idx_spec, val_spec, dim)``
-        Attach this worker's *own* disjoint tensor shard (owned
-        distribution): the segments hold only the worker's contiguous
-        non-zero slice, so subsequent chunk ranges arrive in shard-local
-        coordinates. The parent bumps ``gen`` whenever the shard layout
-        changes, so plan-cache keys never alias across layouts.
+        Attach this worker's *own* disjoint tensor shard read-only: the
+        segments hold only the worker's contiguous non-zero slice, so
+        subsequent chunk ranges arrive in shard-local coordinates. The
+        parent bumps ``gen`` whenever the shard layout changes, so
+        plan-cache keys never alias across layouts (old plans stay keyed
+        under their generation).
     ``("factor", spec)``
         (Re-)attach the factor buffer. The parent rewrites the segment in
         place between calls; a new name arrives only when the shape grew.
@@ -612,6 +614,10 @@ def worker_main(
             conn.send(msg)
 
     try:
+        try:
+            reply(("ready", -1))
+        except (OSError, ValueError):
+            return  # the parent is gone
         while True:
             try:
                 msg = conn.recv()
@@ -619,16 +625,9 @@ def worker_main(
                 break
             op = msg[0]
             try:
-                if op == "tensor":
-                    _op, gen, idx_spec, val_spec, dim = msg
-                    state.tensor_gen = gen
-                    state.shard_id = -1
-                    state.dim = dim
-                    state.indices = state.attach("indices", idx_spec)
-                    state.values = state.attach("values", val_spec)
-                elif op == "shard":
+                if op == "shard":
                     _op, gen, shard_id, idx_spec, val_spec, dim = msg
-                    state.tensor_gen = gen
+                    state.shard_gen = gen
                     state.shard_id = shard_id
                     state.dim = dim
                     state.indices = state.attach("indices", idx_spec)

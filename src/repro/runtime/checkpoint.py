@@ -19,7 +19,13 @@ intact, never a torn file. Scalar state and the config fingerprint
 travel in an embedded JSON document (``meta``); the config records the
 algorithm, rank, kernel and a tensor fingerprint
 ``(dim, order, unnz, values-sum)`` so a checkpoint cannot silently
-resume against the wrong run.
+resume against the wrong run; parallel runs also record the shard map
+(``shard_ranges``).
+
+Version 2 marks the single owned-shard execution model. Version-1
+checkpoints of parallel runs were written under a whole-tensor
+distribution whose reduction order differs, so resuming one would be
+allclose rather than bitwise; they are refused with ``ValueError``.
 
 Checkpoint I/O is observable: ``checkpoint.save`` / ``checkpoint.load``
 spans plus ``checkpoint.saves`` / ``checkpoint.loads`` counters and a
@@ -49,7 +55,7 @@ __all__ = [
     "tensor_fingerprint",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 CHECKPOINT_FILENAME = "checkpoint.npz"
 
 

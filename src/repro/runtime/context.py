@@ -69,7 +69,6 @@ from .health import CancelToken, DeadlineExceededError, RunCancelledError
 __all__ = [
     "COMPILED_TABLE_CACHE_CAP",
     "EXECUTIONS",
-    "SHARDINGS",
     "ExecContext",
     "PlanCache",
     "current_context",
@@ -80,13 +79,6 @@ __all__ = [
 
 #: Recognized execution strategies (see :mod:`repro.parallel.backends`).
 EXECUTIONS = ("serial", "thread", "process")
-
-#: Recognized tensor-distribution strategies for parallel runs:
-#: ``"broadcast"`` ships the whole tensor to every worker (the legacy
-#: byte-compatible layout); ``"owned"`` gives each worker a disjoint
-#: :class:`~repro.parallel.sharding.TensorShard` plus a private row-block
-#: of ``Y``, merged by a hierarchical blocked reduction.
-SHARDINGS = ("broadcast", "owned")
 
 #: Cap on cached compiled-kernel table sets per :class:`PlanCache` — the
 #: keys are pattern stamps (not weakly referenceable), so the store is
@@ -230,15 +222,8 @@ class ExecContext:
         (parallel backend, owned by this context once adopted).
     n_workers:
         Worker count for parallel executions (``None`` = core count).
-    reduction:
-        Partial-reduction strategy for parallel runs (``"blocked"`` /
-        ``"tree"``).
-    sharding:
-        Tensor-distribution strategy for parallel runs: ``"broadcast"``
-        (whole tensor to every worker — the legacy, byte-compatible
-        default) or ``"owned"`` (disjoint per-worker tensor shards with
-        a hierarchical cross-shard reduction; see
-        :mod:`repro.parallel.sharding`).
+        Every parallel run gives each worker one disjoint tensor shard
+        (see :mod:`repro.parallel.sharding`).
     seed:
         Default RNG seed for drivers invoked with ``seed=None`` —
         deterministic replay travels with the context.
@@ -289,8 +274,6 @@ class ExecContext:
         collector: Optional["_trace.TraceCollector"] = None,
         execution: str = "serial",
         n_workers: Optional[int] = None,
-        reduction: str = "blocked",
-        sharding: str = "broadcast",
         seed: Optional[int] = None,
         plans: Optional[PlanCache] = None,
         faults: Optional[FaultInjector] = None,
@@ -303,8 +286,6 @@ class ExecContext:
         self.collector = collector
         self.execution = execution
         self.n_workers = None if n_workers is None else int(n_workers)
-        self.reduction = reduction
-        self.sharding = sharding
         self.seed = seed
         self.plans = plans if plans is not None else PlanCache()
         self.faults = faults
@@ -493,8 +474,7 @@ class ExecContext:
     ) -> None:
         """Check that this context's execution settings suit a run.
 
-        Single home for constraints previously scattered across
-        ``resolve_backend`` and deep engine failures: unknown execution
+        Single home for the execution constraints: unknown execution
         names, ``n_workers`` without a parallel execution, and parallel
         runs of kernels/layouts that have no chunked form (only the
         symprop kernel with compact intermediates does).
@@ -503,16 +483,6 @@ class ExecContext:
             raise ValueError(
                 f"unknown execution {self.execution!r}; "
                 f"expected one of {EXECUTIONS}"
-            )
-        if self.sharding not in SHARDINGS:
-            raise ValueError(
-                f"unknown sharding {self.sharding!r}; "
-                f"expected one of {SHARDINGS}"
-            )
-        if self.sharding == "owned" and self.reduction != "blocked":
-            raise ValueError(
-                "sharding='owned' requires reduction='blocked' (shard "
-                "row-blocks are what the hierarchical reduction exchanges)"
             )
         if self.execution == "serial":
             if self.n_workers is not None:
@@ -585,8 +555,6 @@ class ExecContext:
         collector: Optional["_trace.TraceCollector"] = None,
         execution: Optional[str] = None,
         n_workers: Optional[int] = None,
-        reduction: Optional[str] = None,
-        sharding: Optional[str] = None,
         seed: Optional[int] = None,
         deadline_seconds: Optional[float] = None,
         cancel: Optional[CancelToken] = None,
@@ -617,8 +585,6 @@ class ExecContext:
             collector=collector if collector is not None else self.collector,
             execution=execution if execution is not None else self.execution,
             n_workers=n_workers if n_workers is not None else self.n_workers,
-            reduction=reduction if reduction is not None else self.reduction,
-            sharding=sharding if sharding is not None else self.sharding,
             seed=seed if seed is not None else self.seed,
             plans=self.plans,
             faults=self.faults,
@@ -650,8 +616,6 @@ class ExecContext:
             collector=collector,
             execution=self.execution,
             n_workers=self.n_workers,
-            reduction=self.reduction,
-            sharding=self.sharding,
             seed=self.seed,
             plans=self.plans,
             faults=self.faults,
@@ -676,8 +640,6 @@ class ExecContext:
         return {
             "execution": self.execution,
             "n_workers": self.n_workers,
-            "reduction": self.reduction,
-            "sharding": self.sharding,
             "seed": self.seed,
             "budget_limit_bytes": (
                 self.budget.limit_bytes if self.budget is not None else None
@@ -708,8 +670,6 @@ class ExecContext:
             collector=TraceCollector() if spec.get("traced") else None,
             execution=spec.get("execution", "serial"),
             n_workers=spec.get("n_workers"),
-            reduction=spec.get("reduction", "blocked"),
-            sharding=spec.get("sharding", "broadcast"),
             seed=spec.get("seed"),
             fallback=fallback,
             deadline_seconds=spec.get("deadline_seconds"),

@@ -30,6 +30,7 @@ import os
 import shutil
 import tempfile
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
@@ -178,6 +179,9 @@ class DecompositionService:
         self._slots = [_PoolSlot(i) for i in range(pool_size)]
         self._queue: "asyncio.Queue" = asyncio.Queue()
         self._records: Dict[str, JobRecord] = {}
+        # tenant -> records in state "queued"; kept by _set_state so
+        # submit's queue-depth check never scans the record history.
+        self._queued: Counter = Counter()
         self._inflight: Dict[tuple, JobRecord] = {}
         self._seq = 0
         self._started = False
@@ -281,11 +285,7 @@ class DecompositionService:
                 execution=self.execution,
                 n_workers=self.n_workers,
             )
-            queued = sum(
-                1
-                for r in self._records.values()
-                if r.spec.tenant == spec.tenant and r.state == "queued"
-            )
+            queued = self._queued[spec.tenant]
             if queued >= quota.max_queued:
                 raise QueueFullError(spec.tenant, queued, quota.max_queued)
         except Exception:
@@ -309,6 +309,7 @@ class DecompositionService:
             predicted_peak_bytes=predicted,
         )
         self._records[record.job_id] = record
+        self._queued[spec.tenant] += 1  # records are born "queued"
         self.counters["submitted"] += 1
 
         if cache_key is not None:
@@ -381,8 +382,18 @@ class DecompositionService:
 
     # -- execution ---------------------------------------------------------
 
-    def _finish(self, record: JobRecord, state: str) -> None:
+    def _set_state(self, record: JobRecord, state: str) -> None:
+        """Move ``record`` to ``state``, keeping the per-tenant queued
+        count in step with every transition into or out of "queued"."""
+        tenant = record.spec.tenant
+        if record.state == "queued":
+            self._queued[tenant] -= 1
+        if state == "queued":
+            self._queued[tenant] += 1
         record.state = state
+
+    def _finish(self, record: JobRecord, state: str) -> None:
+        self._set_state(record, state)
         record.finished_at = time.time()
         if record.cache_key is not None:
             if self._inflight.get(record.cache_key) is record:
@@ -433,7 +444,7 @@ class DecompositionService:
 
     async def _run_record(self, record: JobRecord, slot: _PoolSlot) -> None:
         spec = record.spec
-        record.state = "running"
+        self._set_state(record, "running")
         record.started_at = record.started_at or time.time()
         # Fresh isolation per attempt, shared plans via the base context.
         record.budget = MemoryBudget(limit_bytes=record.quota.memory_bytes)
@@ -458,7 +469,7 @@ class DecompositionService:
                 record.preempt_requested = False
                 record.preemptions += 1
                 self.counters["preemptions"] += 1
-                record.state = "queued"
+                self._set_state(record, "queued")
                 self._queue.put_nowait(record)  # resumes from checkpoint
             else:
                 record.error = exc

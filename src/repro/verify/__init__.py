@@ -4,7 +4,7 @@ The paper's contribution is an *exact-equality* claim: the compact
 (SymProp) evaluation equals the naive expansion (Properties 1–3, the
 Eq. 7 recurrence). Four PRs of parallel backends, shared-memory workers
 and OOM bisection multiplied the execution paths through that claim —
-layouts × backends × reductions × plan reuse × row-block scatter — far
+layouts × backends × plan reuse × row-block scatter — far
 past what hand-written fixtures can pin down. ``repro.verify`` turns the
 claim into an always-on subsystem:
 
@@ -15,7 +15,7 @@ claim into an always-on subsystem:
 * :mod:`repro.verify.oracles` — the differential check matrix: every
   kernel configuration against the dense einsum reference and against
   each other, with ULP-aware tolerances that distinguish *reordered
-  summation* (allclose) from *must be bitwise* (slot-ordered paths), plus
+  summation* (allclose) from *must be bitwise* (same-order paths), plus
   error-contract checks that misuse fails loudly.
 * :mod:`repro.verify.invariants` — run-level invariants after each case:
   the memory budget drains to zero, trace span stacks balance, plan-cache

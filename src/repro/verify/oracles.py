@@ -7,11 +7,11 @@ of three modes:
 ``bitwise``
     The two paths perform the *same* floating-point operations in the
     same order (plan reuse, ``out=`` accumulation from zeros, identity
-    ``out_row_map``, slot-ordered blocked reduction across backends) —
+    ``out_row_map``, the shard-ordered merge across backends) —
     results must be identical to the last bit.
 ``allclose``
     The paths reorder summation (different layouts, batching, block
-    sizes, partitions, tree reduction) — results must agree to a
+    sizes, partitions) — results must agree to a
     scale-aware tolerance, with the maximum ULP distance reported.
 ``raises``
     Error contracts: misuse (narrow ``out`` dtypes, unmapped row-map
@@ -63,7 +63,7 @@ class CheckResult:
     """Outcome of one differential or contract check."""
 
     spec: str  # workload spec string (seed + config)
-    check: str  # e.g. "full-vs-compact", "parallel:thread:blocked"
+    check: str  # e.g. "full-vs-compact", "parallel:thread"
     mode: str  # "bitwise" | "allclose" | "raises" | "invariant"
     ok: bool
     detail: str = ""
@@ -525,18 +525,16 @@ def run_workload_checks(
                 )
             )
 
-    # Parallel backends: blocked reduction is slot-ordered, so all
+    # Parallel backends: every backend runs the same owned shards and
+    # merges them through the deterministic hierarchical tree, so all
     # backends must agree bitwise with each other; against the unchunked
-    # kernel the partition reorders summation (allclose). Tree reduction
-    # reorders too.
+    # kernel the partition reorders summation (allclose).
     if unnz > 0:
         n_workers = 3
 
         def _parallel(
             backend: str,
-            reduction: str,
             kernel_mode: str = "generic",
-            sharding: str = "broadcast",
             run_ctx: ExecContext = None,
             report: ParallelRunReport = None,
         ) -> np.ndarray:
@@ -546,161 +544,36 @@ def run_workload_checks(
                 u,
                 n_workers,
                 backend=backend,
-                reduction=reduction,
                 kernel=kernel_mode,
-                sharding=sharding,
                 report=report,
                 ctx=ctx if run_ctx is None else run_ctx,
             ).data
 
-        def _blocked_matrix() -> List[CheckResult]:
+        def _parallel_matrix() -> List[CheckResult]:
             out: List[CheckResult] = []
-            base = _parallel("serial", "blocked")
-            out.append(
-                _compare(
-                    spec, "parallel:serial:blocked", "allclose", base, canonical
-                )
-            )
-            out.append(
-                _compare(
-                    spec,
-                    "parallel:thread:blocked",
-                    "bitwise",
-                    _parallel("thread", "blocked"),
-                    base,
-                )
-            )
-            if include_process:
+            backends = ["thread", "process"] if include_process else ["thread"]
+            bases = {}
+            # Compiled kernels too: every backend must match the serial
+            # run of the same kernel bitwise (the chunk partition itself
+            # reorders vs the unchunked canonical, hence the allclose
+            # anchor row).
+            for kernel_mode, suffix in (("generic", ""), ("compiled", ":compiled")):
+                base = bases[kernel_mode] = _parallel("serial", kernel_mode)
                 out.append(
                     _compare(
-                        spec,
-                        "parallel:process:blocked",
-                        "bitwise",
-                        _parallel("process", "blocked"),
-                        base,
+                        spec, f"parallel:serial{suffix}", "allclose", base, canonical
                     )
                 )
-            out.append(
-                _compare(
-                    spec,
-                    "parallel:thread:tree",
-                    "allclose",
-                    _parallel("thread", "tree"),
-                    canonical,
-                )
-            )
-            # Compiled kernels under the blocked reduction: every backend
-            # must match the serial-blocked *compiled* base bitwise (the
-            # chunk partition itself reorders vs the unchunked canonical,
-            # hence the allclose anchor row).
-            base_c = _parallel("serial", "blocked", "compiled")
-            out.append(
-                _compare(
-                    spec,
-                    "parallel:serial:blocked:compiled",
-                    "allclose",
-                    base_c,
-                    canonical,
-                )
-            )
-            out.append(
-                _compare(
-                    spec,
-                    "parallel:thread:blocked:compiled",
-                    "bitwise",
-                    _parallel("thread", "blocked", "compiled"),
-                    base_c,
-                )
-            )
-            if include_process:
-                out.append(
-                    _compare(
-                        spec,
-                        "parallel:process:blocked:compiled",
-                        "bitwise",
-                        _parallel("process", "blocked", "compiled"),
-                        base_c,
+                for backend in backends:
+                    out.append(
+                        _compare(
+                            spec,
+                            f"parallel:{backend}{suffix}",
+                            "bitwise",
+                            _parallel(backend, kernel_mode),
+                            base,
+                        )
                     )
-                )
-            return out
-
-        try:
-            results.extend(_blocked_matrix())
-        except Exception as e:
-            results.append(
-                CheckResult(
-                    spec,
-                    "parallel:matrix",
-                    "allclose",
-                    False,
-                    f"raised {type(e).__name__}: {e}",
-                )
-            )
-
-        # Sharded execution (sharding="owned"): workers own disjoint
-        # tensor shards and partials merge through the deterministic
-        # hierarchical tree. Cross-shard sums are reordered relative to
-        # the slot-ordered broadcast reduce, so the sharded serial run
-        # anchors allclose against the canonical kernel — and every
-        # backend running the same shards must match it bitwise.
-        def _sharded_matrix() -> List[CheckResult]:
-            out: List[CheckResult] = []
-            base = _parallel("serial", "blocked", sharding="owned")
-            out.append(
-                _compare(
-                    spec, "sharded:serial:owned", "allclose", base, canonical
-                )
-            )
-            out.append(
-                _compare(
-                    spec,
-                    "sharded:thread:owned",
-                    "bitwise",
-                    _parallel("thread", "blocked", sharding="owned"),
-                    base,
-                )
-            )
-            if include_process:
-                out.append(
-                    _compare(
-                        spec,
-                        "sharded:process:owned",
-                        "bitwise",
-                        _parallel("process", "blocked", sharding="owned"),
-                        base,
-                    )
-                )
-            base_c = _parallel("serial", "blocked", "compiled", sharding="owned")
-            out.append(
-                _compare(
-                    spec,
-                    "sharded:serial:owned:compiled",
-                    "allclose",
-                    base_c,
-                    canonical,
-                )
-            )
-            out.append(
-                _compare(
-                    spec,
-                    "sharded:thread:owned:compiled",
-                    "bitwise",
-                    _parallel("thread", "blocked", "compiled", sharding="owned"),
-                    base_c,
-                )
-            )
-            if include_process:
-                out.append(
-                    _compare(
-                        spec,
-                        "sharded:process:owned:compiled",
-                        "bitwise",
-                        _parallel(
-                            "process", "blocked", "compiled", sharding="owned"
-                        ),
-                        base_c,
-                    )
-                )
 
             def _exchange_agreement() -> CheckResult:
                 # The merge's emitted parallel.reduce.exchange events must
@@ -712,7 +585,7 @@ def run_workload_checks(
                     collector=collector,
                     plans=ctx.plans,
                 )
-                _parallel("serial", "blocked", sharding="owned", run_ctx=run_ctx)
+                _parallel("serial", run_ctx=run_ctx)
                 planned = plan_sharded_exchange(
                     x, n_workers, rank, ctx=run_ctx
                 ).exchanges
@@ -724,13 +597,13 @@ def run_workload_checks(
                     else f"measured {measured!r} != planned {planned!r}"
                 )
                 return CheckResult(
-                    spec, "sharded:exchange-plan-vs-trace", "invariant", ok, detail
+                    spec, "parallel:exchange-plan-vs-trace", "invariant", ok, detail
                 )
 
             out.append(
                 _guarded(
                     spec,
-                    "sharded:exchange-plan-vs-trace",
+                    "parallel:exchange-plan-vs-trace",
                     "invariant",
                     _exchange_agreement,
                 )
@@ -742,7 +615,7 @@ def run_workload_checks(
                     # Crash one shard owner mid-run: the respawned worker
                     # re-ingests its shard from the parent's canonical copy
                     # and the run must complete bitwise-identical anyway.
-                    name = "sharded:shard-loss-recovery"
+                    name = "parallel:shard-loss-recovery"
                     injector = FaultInjector(
                         [FaultSpec(site="chunk", kind="crash", match={"slot": 0})],
                         seed=0,
@@ -753,13 +626,7 @@ def run_workload_checks(
                         faults=injector,
                     )
                     report = ParallelRunReport()
-                    got = _parallel(
-                        "process",
-                        "blocked",
-                        sharding="owned",
-                        run_ctx=run_ctx,
-                        report=report,
-                    )
+                    got = _parallel("process", run_ctx=run_ctx, report=report)
                     if injector.n_fired == 0:
                         return CheckResult(
                             spec, name, "invariant", False, "fault never fired"
@@ -773,12 +640,12 @@ def run_workload_checks(
                             f"no shard re-ingest (respawns={report.respawns}, "
                             f"fallbacks={report.fallbacks})",
                         )
-                    return _compare(spec, name, "bitwise", got, base)
+                    return _compare(spec, name, "bitwise", got, bases["generic"])
 
                 out.append(
                     _guarded(
                         spec,
-                        "sharded:shard-loss-recovery",
+                        "parallel:shard-loss-recovery",
                         "invariant",
                         _shard_loss_recovery,
                     )
@@ -786,12 +653,12 @@ def run_workload_checks(
             return out
 
         try:
-            results.extend(_sharded_matrix())
+            results.extend(_parallel_matrix())
         except Exception as e:
             results.append(
                 CheckResult(
                     spec,
-                    "sharded:matrix",
+                    "parallel:matrix",
                     "allclose",
                     False,
                     f"raised {type(e).__name__}: {e}",

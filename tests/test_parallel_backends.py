@@ -1,5 +1,5 @@
-"""Backend v2 tests: correctness across backends, plan-cache reuse,
-blocked reduction, process-worker persistence, and decomposition wiring."""
+"""Backend tests: correctness across backends, plan-cache reuse,
+process-worker persistence, and decomposition wiring."""
 
 import threading
 
@@ -14,7 +14,6 @@ from repro.parallel import (
     BACKENDS,
     ParallelRunReport,
     chunk_row_block,
-    get_chunk_plans,
     make_backend,
     parallel_s3ttmc,
 )
@@ -37,21 +36,9 @@ class TestBackendCorrectness:
         got = parallel_s3ttmc(x, u, 3, backend=backend).unfolding
         assert np.allclose(got, serial, atol=1e-10), backend
 
-    def test_tree_reduction_matches_blocked(self, rng):
-        x = make_random_tensor(4, 12, 60, rng)
-        u = rng.random((12, 3))
-        blocked = parallel_s3ttmc(x, u, 4, backend="thread", reduction="blocked")
-        tree = parallel_s3ttmc(x, u, 4, backend="thread", reduction="tree")
-        assert np.allclose(blocked.unfolding, tree.unfolding, atol=1e-12)
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             make_backend("gpu")
-
-    def test_unknown_reduction_rejected(self, rng):
-        x = make_random_tensor(3, 8, 20, rng)
-        with pytest.raises(ValueError):
-            parallel_s3ttmc(x, rng.random((8, 2)), 2, reduction="atomic")
 
     def test_backend_instance_reused(self, rng):
         x = make_random_tensor(4, 10, 40, rng)
@@ -103,17 +90,6 @@ class TestChunkPlanCache:
             assert _counter(col, "parallel.runs.thread") == 2
             assert len(col.find("parallel.plan_build")) == n_chunks
 
-    def test_structure_only_upgrade(self, rng):
-        """A with_lattice=False entry is upgraded in place, not rebuilt."""
-        x = make_random_tensor(3, 8, 30, rng)
-        mid = x.unnz // 2
-        ranges = ((0, mid), (mid, x.unnz))
-        bare = get_chunk_plans(x, ranges, with_lattice=False)
-        assert all(cp.plan is None for cp in bare)
-        full = get_chunk_plans(x, ranges, with_lattice=True)
-        assert all(cp.plan is not None for cp in full)
-        assert full[0].rows is bare[0].rows  # row blocks carried over
-
     def test_chunk_row_block_roundtrip(self, rng):
         x = make_random_tensor(4, 12, 40, rng)
         rows, row_map = chunk_row_block(x.indices[5:25], x.dim)
@@ -154,7 +130,7 @@ class TestProcessBackend:
             report = ParallelRunReport()
             parallel_s3ttmc(x, u, 2, backend=name, report=report)
             assert report.backend == name
-            assert report.reduction == "blocked"
+            assert report.sharding == "owned"
             assert report.elapsed > 0
 
 

@@ -11,9 +11,11 @@ from repro.perfmodel.memory import (
     kernel_footprint,
     lattice_level_nodes_bound,
     suggest_nz_batch,
+    worker_footprint,
     y_compact_bytes,
     y_full_bytes,
 )
+from repro.serve import JobSpec, predict_job_peak_bytes
 from repro.symmetry.combinatorics import dense_size, sym_storage_size
 
 
@@ -104,3 +106,30 @@ class TestKernelFootprint:
         fp = kernel_footprint("symprop", 10, 3, 2, 10)
         assert fp.fits(10**9)
         assert not fp.fits(10)
+
+
+class TestWorkerFootprint:
+    def test_tensor_term_is_one_balanced_shard(self):
+        fp = worker_footprint(100, 4, 3, 1001, n_workers=4)
+        assert fp.tensor == 251 * (4 * 8 + 8)  # ceil(1001 / 4) non-zeros
+        assert fp.partial == 100 * sym_storage_size(3, 3) * 8  # rows <= dim
+
+    def test_shard_shrinks_with_workers(self):
+        two = worker_footprint(100, 4, 3, 1000, n_workers=2)
+        eight = worker_footprint(100, 4, 3, 1000, n_workers=8)
+        assert two.tensor == 4 * eight.tensor
+
+    def test_admission_charges_shards_not_tensor_copies(self, rng):
+        from tests.conftest import make_random_tensor
+
+        x = make_random_tensor(4, 30, 400, rng)
+        spec = JobSpec(kind="s3ttmc", tensor=x, factor=rng.random((30, 3)))
+        per_nz = x.order * 8 + 8
+        operands = x.unnz * per_nz + x.dim * 3 * 8
+        serial = predict_job_peak_bytes(spec)
+        parallel = predict_job_peak_bytes(spec, execution="process", n_workers=4)
+        fp = worker_footprint(x.dim, x.order, 3, x.unnz, n_workers=4)
+        assert parallel == operands + max(serial - operands, 4 * fp.total)
+        # Four workers together hold about one copy of the tensor.
+        assert 4 * fp.tensor < x.unnz * per_nz + 4 * per_nz
+

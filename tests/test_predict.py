@@ -7,10 +7,12 @@ import pytest
 from repro.perfmodel import (
     RateCalibration,
     kernel_flops_model,
+    predict_parallel_seconds,
     predict_seconds,
     total_css,
     total_sp,
 )
+from repro.symmetry.combinatorics import sym_storage_size
 
 
 class TestFlopModel:
@@ -75,3 +77,20 @@ class TestCalibration:
 
     def test_predict_without_calibration(self):
         assert predict_seconds(RateCalibration(), "symprop", 5, 3, 100) is None
+
+
+class TestPredictParallelShards:
+    def test_reduce_term_is_log_rounds_of_one_row_block(self):
+        # Owned shards merge pairwise: ceil(log2 p) rounds, each moving at
+        # most one (rows, S) block, rows = min(dim, ceil(unnz/p) * order).
+        calib = RateCalibration()
+        calib.record("symprop", 1e9, 1.0)
+        serial = predict_seconds(calib, "symprop", 4, 3, 1000, 50)
+        for n_workers, rounds in ((2, 1), (5, 3), (8, 3)):
+            got = predict_parallel_seconds(
+                calib, "symprop", 4, 3, 1000, n_workers=n_workers, dim=50,
+                reduce_bandwidth_bytes=1.0,
+            )
+            block = 50 * sym_storage_size(3, 3) * 8
+            assert got == pytest.approx(serial / n_workers + rounds * block)
+

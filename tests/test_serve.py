@@ -22,6 +22,7 @@ from repro.serve import (
     DecompositionService,
     InvalidJobError,
     JobSpec,
+    QueueFullError,
     QuotaExceededError,
     TenantQuota,
     UnknownJobError,
@@ -318,6 +319,81 @@ class TestJobControl:
         if preempted:  # raced completion is legal but should be rare
             assert status.preemptions >= 1
         assert status.state == "done"
+
+    def test_queue_depth_count_tracks_every_transition(self, rng):
+        """The per-tenant queued count follows submit, pick-up, preempt
+        requeue, cancel and finish: after done, cache-hit, cancelled and
+        preempted jobs, QueueFullError fires at exactly ``max_queued`` and
+        the count always equals a recount over the records."""
+        x = make_random_tensor(3, 16, 150, rng)
+        limit = 3
+
+        def long_spec(rank, seed):
+            # seed 0/4 are monotone-objective inits on this tensor, so the
+            # health watchdog never ends a blocker early.
+            return hooi_spec(
+                x, rank, seed=seed, max_iters=5000, tol=0.0, use_cache=False
+            )
+
+        async def main():
+            svc = DecompositionService(
+                pool_size=1, default_quota=TenantQuota(max_queued=limit)
+            )
+            await svc.start()
+
+            def check_count():
+                recount = sum(
+                    1 for r in svc._records.values()
+                    if r.spec.tenant == "default" and r.state == "queued"
+                )
+                assert svc._queued["default"] == recount
+                return recount
+
+            async def wait_running(job):
+                while svc.status(job).state == "queued":
+                    await asyncio.sleep(0.005)
+
+            # History: a finished job, its cache hit, a cancelled queued
+            # job, and a preempted job that resumes to completion.
+            done = await svc.submit(hooi_spec(x, 2, seed=1, max_iters=2))
+            await svc.result(done)
+            await svc.submit(hooi_spec(x, 2, seed=1, max_iters=2))
+            blocker = await svc.submit(long_spec(3, 0))
+            await wait_running(blocker)
+            victim = await svc.submit(long_spec(2, 4))
+            assert check_count() == 1
+            assert svc.cancel(victim)
+            assert check_count() == 0
+            preempted = svc.preempt(blocker)
+            while svc.status(blocker).preemptions == 0 and preempted:
+                await asyncio.sleep(0.005)
+            await wait_running(blocker)
+            assert check_count() == 0
+
+            # The slot is busy: fill the queue to exactly the limit.
+            waiting = [await svc.submit(long_spec(2, 4)) for _ in range(limit)]
+            assert check_count() == limit
+            with pytest.raises(QueueFullError) as full:
+                await svc.submit(long_spec(2, 4))
+            assert (full.value.queued, full.value.limit) == (limit, limit)
+            assert svc.cancel(waiting.pop())
+            assert check_count() == limit - 1
+            waiting.append(await svc.submit(long_spec(2, 4)))
+            with pytest.raises(QueueFullError):
+                await svc.submit(long_spec(2, 4))
+            assert check_count() == limit
+
+            for job in waiting:
+                svc.cancel(job)
+            svc.cancel(blocker)
+            counters = await svc.close()
+            return preempted, check_count(), counters
+
+        preempted, final, counters = run(main())
+        assert final == 0
+        assert counters["rejected"] == 2
+        assert counters["preemptions"] == int(preempted)
+        assert counters["budgets_undrained"] == 0
 
     def test_kernel_jobs_not_preemptible(self, rng):
         x = make_random_tensor(3, 12, 80, rng)

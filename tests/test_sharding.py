@@ -1,8 +1,8 @@
-"""Sharded execution v2: workers own tensor shards, not just nz ranges.
+"""Sharded execution: every backend runs owned tensor shards.
 
 Covers the whole owned-sharding stack: the sharder and its invariants,
 the deterministic hierarchical merge (and its exchange-event contract
-with ``merge_schedule``), the owned mode on every backend (bitwise
+with ``merge_schedule``), the shard path on every backend (bitwise
 across backends, allclose vs the canonical serial kernel), the
 ``parallel.shard_bytes`` memory acceptance bound, shard re-ingest after
 a worker crash, context/checkpoint plumbing, and the distributed
@@ -28,7 +28,11 @@ from repro.parallel import (
     simulate_sharded_time,
 )
 from repro.perfmodel import predict_parallel_seconds, worker_footprint, RateCalibration
-from repro.runtime.checkpoint import load_checkpoint
+from repro.runtime.checkpoint import (
+    CHECKPOINT_VERSION,
+    checkpoint_path,
+    load_checkpoint,
+)
 from repro.runtime.context import ExecContext
 from repro.runtime.faults import FaultInjector, FaultSpec
 from repro.symmetry.combinatorics import sym_storage_size
@@ -49,7 +53,6 @@ def _owned(tensor, factor, backend, n_workers=4, **kwargs):
         factor,
         n_workers,
         backend=backend,
-        sharding="owned",
         report=report,
         **kwargs,
     ).data
@@ -67,9 +70,9 @@ class TestBuildShards:
         assert [s.shard_id for s in shards] == list(range(len(shards)))
 
     def test_shards_match_executor_partition(self, workload):
-        # A shard's nz slice must equal the broadcast chunk for the same
-        # partition — that identity is what makes per-shard partials
-        # bitwise-reproducible across modes.
+        # A shard's nz slice must equal the executor's chunk range for the
+        # same partition — that identity is what makes per-shard partials
+        # bitwise-reproducible across backends.
         tensor, factor = workload
         ranges = partition_ranges(tensor, factor.shape[1], 4)
         shards = build_shards(tensor, 4, factor.shape[1])
@@ -99,18 +102,16 @@ class TestBuildShards:
         assert max(costs) <= 2.5 * min(costs)
 
     def test_resident_bytes_owned_vs_broadcast(self, workload):
+        # "Broadcast" is a whole-tensor copy per worker, the layout the
+        # owned bound was set against: unnz · (8N + 8) bytes.
         tensor, factor = workload
         ranges = partition_ranges(tensor, factor.shape[1], 4)
-        owned = shard_resident_bytes(
-            tensor.unnz, tensor.order, ranges, sharding="owned"
-        )
-        broadcast = shard_resident_bytes(
-            tensor.unnz, tensor.order, ranges, sharding="broadcast"
-        )
+        owned = shard_resident_bytes(tensor.order, ranges)
         per_nz = tensor.order * 8 + 8
-        assert broadcast == tensor.unnz * per_nz
+        whole_tensor = tensor.unnz * per_nz
         assert owned == max(b - a for a, b in ranges) * per_nz
-        assert owned <= broadcast / 2
+        assert owned <= whole_tensor / 2
+        assert shard_resident_bytes(tensor.order, []) == 0
 
 
 class TestHierarchicalMerge:
@@ -196,75 +197,59 @@ class TestOwnedShardingBackends:
         canonical = s3ttmc(tensor, factor).data
         assert np.allclose(base, canonical, atol=1e-10)
 
-    def test_owned_requires_blocked_reduction(self, workload):
-        tensor, factor = workload
-        with pytest.raises(ValueError, match="blocked"):
-            parallel_s3ttmc(
-                tensor, factor, 4, backend="serial", sharding="owned", reduction="tree"
-            )
-        with pytest.raises(ValueError, match="sharding"):
-            parallel_s3ttmc(tensor, factor, 4, backend="serial", sharding="bogus")
 
-    def test_broadcast_unchanged_by_default(self, workload):
-        tensor, factor = workload
-        report = ParallelRunReport()
-        parallel_s3ttmc(tensor, factor, 4, backend="serial", report=report)
-        assert report.sharding == "broadcast"
 
-    def test_mode_switch_on_live_process_backend(self, workload):
-        # One backend instance must serve owned and broadcast runs
-        # interleaved (shard segments torn down and rebuilt cleanly).
-        from repro.parallel import make_backend
+    def test_process_backend_needs_an_owner_per_shard(self, workload):
+        # Shard k runs only on worker k: more shards than workers must
+        # fail at once instead of waiting forever for a missing owner.
+        from repro.parallel import make_backend, shm
 
         tensor, factor = workload
-        base, _ = _owned(tensor, factor, "serial")
-        with make_backend("process", 4) as backend:
-            owned1, _ = _owned(tensor, factor, backend)
-            broadcast = parallel_s3ttmc(tensor, factor, 4, backend=backend).data
-            owned2, _ = _owned(tensor, factor, backend)
-        assert np.array_equal(owned1, base)
-        assert np.array_equal(owned2, base)
-        assert np.allclose(broadcast, base, atol=1e-10)
+        base, _ = _owned(tensor, factor, "serial", n_workers=2)
+        with make_backend("process", 2) as backend:
+            with pytest.raises(ValueError, match="3 shards"):
+                parallel_s3ttmc(tensor, factor, 3, backend=backend)
+            assert not shm.live_segments(backend.run_token)
+            data, _ = _owned(tensor, factor, backend, n_workers=2)
+        assert np.array_equal(data, base)
 
 
 class TestMemoryAcceptance:
     def test_owned_gauge_at_most_half_of_broadcast(self, workload):
-        # The acceptance criterion: order-4 workload, >= 4 process
-        # workers, owned resident tensor bytes <= 0.5x broadcast.
+        # The acceptance criterion: order-4 workload, 4 process workers,
+        # the parallel.shard_bytes gauge (largest per-worker resident
+        # tensor bytes) <= 0.5x a whole-tensor broadcast copy,
+        # unnz · (8N + 8) bytes.
         tensor, factor = workload
-        readings = {}
-        for sharding in ("broadcast", "owned"):
-            collector = TraceCollector()
-            ctx = ExecContext(collector=collector)
-            parallel_s3ttmc(
-                tensor, factor, 4, backend="process", sharding=sharding, ctx=ctx
-            )
-            readings[sharding] = collector.metrics.gauge("parallel.shard_bytes").value
-        assert readings["owned"] <= 0.5 * readings["broadcast"]
+        collector = TraceCollector()
+        ctx = ExecContext(collector=collector)
+        parallel_s3ttmc(tensor, factor, 4, backend="process", ctx=ctx)
+        gauge = collector.metrics.gauge("parallel.shard_bytes").value
+        whole_tensor = tensor.unnz * (tensor.order * 8 + 8)
+        assert 0 < gauge <= 0.5 * whole_tensor
 
     def test_worker_footprint_model_agrees(self, workload):
         tensor, factor = workload
         rank = factor.shape[1]
-        owned = worker_footprint(
-            tensor.dim, tensor.order, rank, tensor.unnz, n_workers=4, sharding="owned"
-        )
-        broadcast = worker_footprint(
+        model = worker_footprint(
             tensor.dim, tensor.order, rank, tensor.unnz, n_workers=4
         )
-        assert owned.tensor <= 0.5 * broadcast.tensor
-        assert owned.total < broadcast.total
-        # The model's owned tensor bound must dominate the real widest shard.
-        ranges = partition_ranges(tensor, rank, 4)
-        real = shard_resident_bytes(tensor.unnz, tensor.order, ranges, sharding="owned")
         per_nz = tensor.order * 8 + 8
-        assert owned.tensor >= (tensor.unnz // 4) * per_nz
-        assert real <= broadcast.tensor
+        assert model.tensor <= 0.5 * tensor.unnz * per_nz
+        assert model.tensor >= (tensor.unnz // 4) * per_nz
+        # Passing the real widest shard makes the tensor term exact.
+        ranges = partition_ranges(tensor, rank, 4)
+        real = shard_resident_bytes(tensor.order, ranges)
+        widest = max(b - a for a, b in ranges)
+        exact = worker_footprint(
+            tensor.dim, tensor.order, rank, tensor.unnz, n_workers=4,
+            shard_nnz=widest,
+        )
+        assert exact.tensor == real
 
     def test_worker_footprint_validation(self):
         with pytest.raises(ValueError):
             worker_footprint(10, 3, 2, 50, n_workers=0)
-        with pytest.raises(ValueError):
-            worker_footprint(10, 3, 2, 50, n_workers=2, sharding="bogus")
 
 
 class TestShardLossRecovery:
@@ -293,37 +278,17 @@ class TestShardLossRecovery:
 
 
 class TestContextPlumbing:
-    def test_context_carries_sharding(self, workload):
-        tensor, factor = workload
-        ctx = ExecContext(execution="thread", n_workers=4, sharding="owned")
-        base, _ = _owned(tensor, factor, "serial")
-        report = ParallelRunReport()
-        data = parallel_s3ttmc(tensor, factor, report=report, ctx=ctx).data
-        ctx.close()
-        assert report.sharding == "owned"
-        assert np.array_equal(data, base)
-
-    def test_validate_rejects_bad_sharding(self):
-        with pytest.raises(ValueError):
-            ExecContext(sharding="bogus").validate()
-        with pytest.raises(ValueError):
-            ExecContext(
-                execution="thread", sharding="owned", reduction="tree"
-            ).validate()
-
     def test_serialization_roundtrip(self):
-        ctx = ExecContext(execution="process", n_workers=4, sharding="owned")
+        # One execution model: nothing distribution-specific is
+        # serialized, and a spec written while the distribution was a
+        # setting still loads.
+        ctx = ExecContext(execution="process", n_workers=4)
         spec = ctx.to_dict()
-        assert spec["sharding"] == "owned"
-        restored = ExecContext.from_dict(spec)
-        assert restored.sharding == "owned"
-        assert ExecContext.from_dict({"execution": "serial"}).sharding == "broadcast"
-
-    def test_derive_overrides_sharding(self):
-        base = ExecContext(execution="thread", n_workers=2)
-        child = base.derive(sharding="owned")
-        assert child.sharding == "owned"
-        assert base.derive().sharding == "broadcast"
+        assert "sharding" not in spec and "reduction" not in spec
+        legacy = dict(spec, sharding="broadcast", reduction="tree")
+        restored = ExecContext.from_dict(legacy)
+        assert restored.execution == "process"
+        assert restored.n_workers == 4
 
 
 class TestDecompositionWiring:
@@ -331,8 +296,7 @@ class TestDecompositionWiring:
         tensor, _ = workload
         serial = hooi(tensor, 3, max_iters=3, seed=7)
         owned = hooi(
-            tensor, 3, max_iters=3, seed=7, execution="thread", n_workers=3,
-            sharding="owned",
+            tensor, 3, max_iters=3, seed=7, execution="thread", n_workers=3
         )
         assert np.allclose(owned.factor, serial.factor, atol=1e-8)
 
@@ -340,49 +304,79 @@ class TestDecompositionWiring:
         tensor, _ = workload
         serial = hoqri(tensor, 3, max_iters=3, seed=7)
         owned = hoqri(
-            tensor, 3, max_iters=3, seed=7, execution="thread", n_workers=3,
-            sharding="owned",
+            tensor, 3, max_iters=3, seed=7, execution="thread", n_workers=3
         )
         assert np.allclose(owned.factor, serial.factor, atol=1e-8)
 
-    def test_sharding_conflicts_with_explicit_ctx(self, workload):
-        tensor, _ = workload
-        ctx = ExecContext(execution="thread", n_workers=2)
-        with pytest.raises(ValueError, match="sharding"):
-            hooi(tensor, 3, max_iters=1, ctx=ctx, sharding="owned")
-        ctx.close()
-
     def test_checkpoint_records_shard_map(self, workload, tmp_path):
-        tensor, _ = workload
-        hooi(
-            tensor, 3, max_iters=2, seed=7, execution="thread", n_workers=3,
-            sharding="owned", checkpoint_dir=tmp_path,
-        )
-        state = load_checkpoint(tmp_path)
-        assert state.config["sharding"] == "owned"
-        ranges = state.config["shard_ranges"]
-        assert ranges[0][0] == 0 and ranges[-1][1] == tensor.unnz
-        # Resume under the same layout continues; a different layout is
-        # rejected (the shard map is part of the run identity).
-        hooi(
-            tensor, 3, max_iters=4, seed=7, execution="thread", n_workers=3,
-            sharding="owned", checkpoint_dir=tmp_path, resume=True,
-        )
-        with pytest.raises(ValueError, match="shard_ranges"):
-            hooi(
-                tensor, 3, max_iters=4, seed=7, execution="thread", n_workers=2,
-                sharding="owned", checkpoint_dir=tmp_path, resume=True,
-            )
-
-    def test_broadcast_checkpoint_has_no_shard_map(self, workload, tmp_path):
         tensor, _ = workload
         hooi(
             tensor, 3, max_iters=2, seed=7, execution="thread", n_workers=3,
             checkpoint_dir=tmp_path,
         )
         state = load_checkpoint(tmp_path)
+        ranges = state.config["shard_ranges"]
+        assert ranges[0][0] == 0 and ranges[-1][1] == tensor.unnz
+        # Resume under the same layout continues; a different layout is
+        # rejected (the shard map is part of the run identity).
+        hooi(
+            tensor, 3, max_iters=4, seed=7, execution="thread", n_workers=3,
+            checkpoint_dir=tmp_path, resume=True,
+        )
+        with pytest.raises(ValueError, match="shard_ranges"):
+            hooi(
+                tensor, 3, max_iters=4, seed=7, execution="thread", n_workers=2,
+                checkpoint_dir=tmp_path, resume=True,
+            )
+
+    @pytest.mark.parametrize("execution", ["thread", "process"])
+    @pytest.mark.parametrize("driver", [hooi, hoqri])
+    def test_every_parallel_checkpoint_records_shard_ranges(
+        self, workload, tmp_path, execution, driver
+    ):
+        tensor, factor = workload
+        driver(
+            tensor, 3, max_iters=1, seed=7, execution=execution, n_workers=2,
+            checkpoint_dir=tmp_path,
+        )
+        state = load_checkpoint(tmp_path)
+        assert state.config["shard_ranges"] == [
+            list(r) for r in partition_ranges(tensor, 3, 2)
+        ]
         assert "sharding" not in state.config
-        assert "shard_ranges" not in state.config
+        # A serial run has no shard map to pin.
+        serial_dir = tmp_path / "serial"
+        driver(tensor, 3, max_iters=1, seed=7, checkpoint_dir=serial_dir)
+        assert "shard_ranges" not in load_checkpoint(serial_dir).config
+
+    def test_v1_checkpoint_refused(self, workload, tmp_path):
+        # Version-1 checkpoints of parallel runs were written under the
+        # whole-tensor distribution, whose reduction order differs:
+        # resuming one would be allclose, not bitwise, so it is refused.
+        import json
+
+        tensor, _ = workload
+        hooi(
+            tensor, 3, max_iters=1, seed=7, execution="thread", n_workers=3,
+            checkpoint_dir=tmp_path,
+        )
+        assert CHECKPOINT_VERSION == 2
+        path = checkpoint_path(tmp_path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(bytes(arrays["meta_json"]).decode("utf-8"))
+        meta["version"] = 1
+        arrays["meta_json"] = np.frombuffer(
+            json.dumps(meta).encode("utf-8"), dtype=np.uint8
+        )
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+            load_checkpoint(tmp_path)
+        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+            hooi(
+                tensor, 3, max_iters=2, seed=7, execution="thread", n_workers=3,
+                checkpoint_dir=tmp_path, resume=True,
+            )
 
 
 class TestShardedExchangeModel:
@@ -390,9 +384,7 @@ class TestShardedExchangeModel:
         tensor, factor = workload
         collector = TraceCollector()
         ctx = ExecContext(collector=collector)
-        parallel_s3ttmc(
-            tensor, factor, 4, backend="serial", sharding="owned", ctx=ctx
-        )
+        parallel_s3ttmc(tensor, factor, 4, backend="serial", ctx=ctx)
         plan = plan_sharded_exchange(tensor, 4, factor.shape[1], ctx=ctx)
         assert exchange_from_trace(collector) == plan.exchanges
 
@@ -435,21 +427,11 @@ class TestShardedExchangeModel:
 
 
 class TestPredictParallel:
-    def test_owned_reduce_cheaper_than_broadcast(self):
-        cal = RateCalibration()
-        cal.record("symprop", 1e9, 1.0)
-        kwargs = dict(order=4, rank=4, unnz=10_000, dim=2_000, n_workers=8)
-        broadcast = predict_parallel_seconds(cal, "symprop", **kwargs)
-        owned = predict_parallel_seconds(
-            cal, "symprop", sharding="owned", **kwargs
-        )
-        assert owned < broadcast
-
     def test_single_worker_has_no_reduce_term(self):
         cal = RateCalibration()
         cal.record("symprop", 1e9, 1.0)
         serial_like = predict_parallel_seconds(
-            cal, "symprop", 4, 4, 1000, n_workers=1, sharding="owned"
+            cal, "symprop", 4, 4, 1000, n_workers=1
         )
         from repro.perfmodel import predict_seconds
 
@@ -470,7 +452,3 @@ class TestPredictParallel:
         cal.record("symprop", 1e9, 1.0)
         with pytest.raises(ValueError):
             predict_parallel_seconds(cal, "symprop", 4, 4, 100, n_workers=0)
-        with pytest.raises(ValueError):
-            predict_parallel_seconds(
-                cal, "symprop", 4, 4, 100, n_workers=2, sharding="bogus"
-            )

@@ -4,9 +4,7 @@
 Compares a *fresh* run of a benchmark suite (``--suite parallel`` =
 ``benchmarks/bench_parallel_baseline.py`` vs ``BENCH_parallel.json``,
 ``--suite codegen`` = ``benchmarks/bench_codegen_v2.py`` vs
-``BENCH_codegen.json``, ``--suite sharded`` =
-``benchmarks/bench_sharded_baseline.py`` vs ``BENCH_sharded.json``, or
-any two baseline files via ``--baseline`` /
+``BENCH_codegen.json``, or any two baseline files via ``--baseline`` /
 ``--fresh``), phase by phase, using :mod:`repro.obs.regress`: a phase is only
 flagged when its median moved beyond ``max(--threshold, --noise-mult ×
 observed relative dispersion)``. Both the v2 (median/MAD phases) and the
@@ -63,10 +61,6 @@ SUITES = {
     "codegen": (
         REPO_ROOT / "benchmarks" / "bench_codegen_v2.py",
         REPO_ROOT / "BENCH_codegen.json",
-    ),
-    "sharded": (
-        REPO_ROOT / "benchmarks" / "bench_sharded_baseline.py",
-        REPO_ROOT / "BENCH_sharded.json",
     ),
 }
 
