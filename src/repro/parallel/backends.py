@@ -26,16 +26,19 @@ return bit-identical results and differ only in where a shard runs:
 
 Fault tolerance
 ---------------
-All backends run chunks through the same resilience envelope, governed
-by the context's :class:`~repro.runtime.faults.FallbackPolicy`:
+All backends run chunks through one resilience envelope, governed by
+the context's :class:`~repro.runtime.faults.FallbackPolicy`: a per-run
+shard-task ledger (:class:`_ShardLedger`) makes every recovery decision,
+and one chunk evaluator (:func:`~repro.parallel.executor.evaluate_chunk`)
+runs every task, in-process or in a worker.
 
 * transient chunk failures (worker crash, corrupt partial, injected
   error) are retried with exponential backoff up to
   ``policy.max_retries`` per chunk;
 * a chunk that exceeds the memory budget is **bisected** along the
-  non-zero axis via the balanced partitioner and its halves retried
-  recursively (up to ``policy.max_oom_splits`` deep) — the run degrades
-  to smaller intermediates instead of dying;
+  non-zero axis via the balanced partitioner and its halves queued as
+  tasks of their own (up to ``policy.max_oom_splits`` deep) — the run
+  degrades to smaller intermediates instead of dying;
 * every partial carries a checksum taken at the producer; a mismatch at
   the consumer marks the partial corrupt and retries the chunk
   (``policy.verify_partials``).
@@ -64,8 +67,10 @@ degrading the backend, since a weaker backend cannot fix numerics.
 Reductions are deterministic: shard partials are staged until the
 pairwise merge, whose order is fixed by the shard layout, so reruns —
 including runs where chunks were retried or workers respawned — produce
-bit-identical output. (OOM splits change a chunk's internal summation
-order; results then agree to rounding.)
+bit-identical output. OOM splits change a shard's internal summation
+order, so a split run agrees with an unsplit one only to rounding; the
+split pieces merge in start order, so runs with the same split tree are
+bit-identical on every backend.
 
 Everything is observable: ``parallel.retries``, ``parallel.worker_respawns``,
 ``parallel.oom_splits``, ``parallel.corrupt_partials`` counters plus
@@ -94,25 +99,21 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.engine import lattice_ttmc
 from ..obs import trace as _trace
 from ..runtime.budget import MemoryLimitError
 from ..runtime.context import ExecContext, resolve_context, tensor_generation
 from ..runtime.faults import (
     BackendUnhealthyError,
-    CorruptPartialError,
     FallbackPolicy,
-    FaultInjector,
     InjectedFault,
-    WorkerCrashError,
 )
 from ..runtime.health import NumericalHealthError
 from . import shm as _shm
 from .executor import (
-    ChunkPlan,
     ParallelJob,
     ParallelRunReport,
     chunk_row_block,
+    evaluate_chunk,
     get_chunk_plans,
 )
 from .partition import balanced_partition, estimate_nonzero_costs
@@ -138,16 +139,6 @@ START_METHOD_ENV_VAR = "REPRO_START_METHOD"
 def default_workers() -> int:
     """Default worker count: one per core."""
     return max(1, os.cpu_count() or 1)
-
-
-class _NonFinitePartialError(RuntimeError):
-    """Internal: a chunk partial's checksum came back non-finite.
-
-    Retried like other transient chunk failures, but exhaustion raises
-    :class:`~repro.runtime.health.NumericalHealthError` instead of
-    :class:`~repro.runtime.faults.BackendUnhealthyError` — degrading to
-    a weaker backend cannot fix numerics.
-    """
 
 
 def _supervisor_wait_timeout(
@@ -188,23 +179,6 @@ def _checksums_match(expected: float, actual: float) -> bool:
     return expected == actual
 
 
-def _note_incident(
-    ctx: ExecContext,
-    report: Optional[ParallelRunReport],
-    event: str,
-    counter: str,
-    report_field: str,
-    **attrs,
-) -> None:
-    """Record one resilience incident: trace event + counter + report."""
-    collector = ctx.effective_collector()
-    if collector is not None:
-        _trace.event(event, collector=collector, **attrs)
-        collector.metrics.counter(counter).inc()
-    if report is not None:
-        setattr(report, report_field, getattr(report, report_field) + 1)
-
-
 def _bisect_range(
     indices: np.ndarray, start: int, stop: int, rank: int
 ) -> List[Tuple[int, int]]:
@@ -223,170 +197,188 @@ def _bisect_range(
     return halves
 
 
-def _resilient_partial(
-    job: ParallelJob,
-    ctx: ExecContext,
-    policy: FallbackPolicy,
-    injector: Optional[FaultInjector],
-    backend_name: str,
-    slot: int,
-    cp: ChunkPlan,
-    report: Optional[ParallelRunReport],
-) -> np.ndarray:
-    """Compact ``(n_rows, cols)`` partial for one chunk, with recovery.
+class _ChunkTask:
+    """One schedulable unit, in global non-zero coordinates: a shard's
+    whole range or an OOM-split sub-range of it."""
 
-    The in-process resilience envelope shared by the serial and thread
-    backends: retries transient failures (injected crash/error, corrupt
-    partial) with backoff, recursively bisects on
-    :class:`~repro.runtime.budget.MemoryLimitError`, and verifies each
-    partial's checksum. An injected *hang* here is just a delay — there
-    is no process boundary to kill across, so kill-based hang recovery is
-    a process-backend capability. Raises
-    :class:`~repro.runtime.faults.BackendUnhealthyError` once a chunk
-    exhausts its retries.
+    __slots__ = ("slot", "start", "stop", "attempt", "depth")
+
+    def __init__(self, slot: int, start: int, stop: int, depth: int = 0) -> None:
+        self.slot = slot
+        self.start = start
+        self.stop = stop
+        self.attempt = 0
+        self.depth = depth
+
+
+class _ShardLedger:
+    """Per-run chunk-task bookkeeping shared by every backend.
+
+    The ledger is the resilience envelope: it holds one queue of
+    :class:`_ChunkTask` per shard and makes every recovery decision —
+    retries with backoff, OOM bisection, partial acceptance (finiteness
+    sentinel and checksum) and the merge of a split shard's pieces — and
+    records every incident. Backends only decide *where* a task runs:
+    in-process backends drain a shard's queue on one thread, the process
+    supervisor ships each task to the shard's owner worker.
+
+    Split pieces merge into the shard's block in start order, so a
+    shard's summation order is a function of its split tree alone and
+    OOM-recovered runs are bitwise-equal across backends.
+
+    Queues, pieces and counts are per shard, so concurrent threads each
+    draining their own shard share only the report, whose counts are
+    updated under a lock.
     """
 
-    def eval_range(start, stop, rows, row_map, plan, depth) -> np.ndarray:
-        attempt = 0
-        while True:
-            # Cooperative cancellation/deadline checkpoint: once per
-            # chunk attempt, before any kernel work starts.
-            ctx.check_health(f"{backend_name}.chunk")
-            fault = (
-                injector.arm(
-                    "chunk", backend=backend_name, slot=slot, attempt=attempt
-                )
-                if injector is not None
-                else None
-            )
-            try:
-                if fault is not None:
-                    if fault.kind == "crash":
-                        raise WorkerCrashError(
-                            f"injected crash (chunk {slot})"
-                        )
-                    if fault.kind == "error":
-                        raise InjectedFault(f"injected error (chunk {slot})")
-                    if fault.kind in ("hang", "slow"):
-                        time.sleep(fault.seconds)
-                    if fault.kind == "oom":
-                        raise MemoryLimitError("injected chunk oom", 0, 0, 0)
-                partial = np.zeros((rows.shape[0], job.cols), dtype=np.float64)
-                lattice_ttmc(
-                    job.indices[start:stop],
-                    job.values[start:stop],
-                    job.dim,
-                    job.factor,
-                    intermediate="compact",
-                    memoize=job.memoize,
-                    kernel=job.kernel,
-                    chunk_edges=job.chunk_edges,
-                    out=partial,
-                    out_row_map=row_map,
-                    plan=plan,
-                    ctx=ctx,
-                )
-                # An injected nan poisons the partial *before* the
-                # checksum (unlike corrupt, which evades it): the
-                # non-finite value rides the checksum to the sentinel.
-                if fault is not None and fault.kind == "nan" and partial.size:
-                    partial.flat[0] = np.nan
-                checksum = float(partial.sum())
-                if fault is not None and fault.kind == "corrupt" and partial.size:
-                    partial.flat[0] += fault.scale
-                if policy.check_finite and not math.isfinite(checksum):
-                    raise _NonFinitePartialError(
-                        f"chunk {slot} partial is non-finite "
-                        f"(checksum {checksum!r})"
-                    )
-                if policy.verify_partials and not _checksums_match(
-                    checksum, float(partial.sum())
-                ):
-                    raise CorruptPartialError(
-                        f"chunk {slot} partial failed checksum verification"
-                    )
-                return partial
-            except MemoryLimitError as oom:
-                if depth >= policy.max_oom_splits or stop - start <= 1:
-                    raise
-                _note_incident(
-                    ctx,
-                    report,
-                    "parallel.oom_split",
-                    "parallel.oom_splits",
-                    "oom_splits",
-                    backend=backend_name,
-                    chunk=slot,
-                    nz_start=start,
-                    nz_stop=stop,
-                    depth=depth,
-                    label=oom.label,
-                )
-                halves = _bisect_range(job.indices, start, stop, job.rank)
-                sub_plans = get_chunk_plans(
-                    job.tensor, halves, job.memoize, ctx=ctx
-                )
-                partial = np.zeros((rows.shape[0], job.cols), dtype=np.float64)
-                for sp in sub_plans:
-                    sub = eval_range(
-                        sp.start, sp.stop, sp.rows, sp.row_map, sp.plan,
-                        depth + 1,
-                    )
-                    partial[np.searchsorted(rows, sp.rows)] += sub
-                return partial
-            except (
-                WorkerCrashError,
-                CorruptPartialError,
-                InjectedFault,
-                _NonFinitePartialError,
-            ) as exc:
-                if isinstance(exc, CorruptPartialError):
-                    _note_incident(
-                        ctx,
-                        report,
-                        "parallel.corrupt_partial",
-                        "parallel.corrupt_partials",
-                        "corrupt_partials",
-                        backend=backend_name,
-                        chunk=slot,
-                    )
-                elif isinstance(exc, _NonFinitePartialError):
-                    _note_incident(
-                        ctx,
-                        report,
-                        "health.nonfinite_partial",
-                        "health.nonfinite_partials",
-                        "nonfinite_partials",
-                        backend=backend_name,
-                        chunk=slot,
-                    )
-                attempt += 1
-                if attempt > policy.max_retries:
-                    if isinstance(exc, _NonFinitePartialError):
-                        raise NumericalHealthError(
-                            f"chunk {slot} partial stayed non-finite after "
-                            f"{attempt} attempts"
-                        ) from exc
-                    raise BackendUnhealthyError(
-                        backend_name,
-                        f"chunk {slot} failed after {attempt} attempts: {exc}",
-                    ) from exc
-                _note_incident(
-                    ctx,
-                    report,
-                    "parallel.retry",
-                    "parallel.retries",
-                    "retries",
-                    backend=backend_name,
-                    chunk=slot,
-                    attempt=attempt,
-                    reason=str(exc),
-                )
-                backoff = policy.backoff(attempt)
-                if backoff > 0:
-                    time.sleep(backoff)
+    def __init__(
+        self,
+        job: ParallelJob,
+        ctx: ExecContext,
+        report: Optional[ParallelRunReport],
+        backend: str,
+    ) -> None:
+        self.job = job
+        self.ctx = ctx
+        self.report = report
+        self.backend = backend
+        self.policy = ctx.effective_fallback()
+        self._report_lock = threading.Lock()
+        self.queues: Dict[int, Deque[_ChunkTask]] = {
+            slot: deque([_ChunkTask(slot, start, stop)])
+            for slot, (start, stop) in enumerate(job.ranges)
+        }
+        self._outstanding = [1] * len(job.ranges)
+        self._pieces: List[List[Tuple[int, int, np.ndarray]]] = [
+            [] for _ in job.ranges
+        ]
+        #: Each shard's accepted ``(rows, cols)`` partial, once complete.
+        self.blocks: List[Optional[np.ndarray]] = [None] * len(job.ranges)
 
-    return eval_range(cp.start, cp.stop, cp.rows, cp.row_map, cp.plan, 0)
+    def pending(self) -> bool:
+        return any(self.queues.values())
+
+    def next_task(self, slot: int) -> Optional[_ChunkTask]:
+        queue = self.queues[slot]
+        return queue.popleft() if queue else None
+
+    def arm(self, task: _ChunkTask, **attrs) -> Optional[Tuple[str, float]]:
+        """Arm the ``"chunk"`` fault site for one task attempt."""
+        injector = self.ctx.faults
+        fault = (
+            injector.arm(
+                "chunk", backend=self.backend, slot=task.slot,
+                attempt=task.attempt, **attrs,
+            )
+            if injector is not None
+            else None
+        )
+        return fault.payload() if fault is not None else None
+
+    def note(self, event: str, counter: str, report_field: str, **attrs) -> None:
+        """Record one resilience incident: trace event + counter + report."""
+        collector = self.ctx.effective_collector()
+        if collector is not None:
+            _trace.event(event, collector=collector, **attrs)
+            collector.metrics.counter(counter).inc()
+        if self.report is not None:
+            with self._report_lock:
+                setattr(
+                    self.report, report_field,
+                    getattr(self.report, report_field) + 1,
+                )
+
+    def _note_chunk(self, event, counter, report_field, task, **attrs) -> None:
+        self.note(
+            event, counter, report_field,
+            backend=self.backend, chunk=task.slot, shard=task.slot, **attrs,
+        )
+
+    def retry(self, task: _ChunkTask, reason: str, *, health: bool = False) -> None:
+        """Requeue a failed attempt after backoff, or raise on exhaustion.
+
+        Exhaustion raises :class:`~repro.runtime.faults.BackendUnhealthyError`
+        (the executor degrades the backend), or
+        :class:`~repro.runtime.health.NumericalHealthError` for a partial
+        that stayed non-finite — a weaker backend cannot fix numerics.
+        """
+        task.attempt += 1
+        if task.attempt > self.policy.max_retries:
+            what = f"shard {task.slot} chunk [{task.start},{task.stop})"
+            if health:
+                raise NumericalHealthError(
+                    f"{what} stayed non-finite after {task.attempt} attempts"
+                )
+            raise BackendUnhealthyError(
+                self.backend,
+                f"{what} failed after {task.attempt} attempts: {reason}",
+            )
+        self._note_chunk(
+            "parallel.retry", "parallel.retries", "retries", task,
+            attempt=task.attempt, reason=reason,
+        )
+        backoff = self.policy.backoff(task.attempt)
+        if backoff > 0:
+            time.sleep(backoff)
+        self.queues[task.slot].append(task)
+
+    def split(self, task: _ChunkTask, oom: MemoryLimitError) -> None:
+        """Bisect a task refused by the memory budget, or re-raise ``oom``."""
+        if task.depth >= self.policy.max_oom_splits or task.stop - task.start <= 1:
+            raise oom
+        self._note_chunk(
+            "parallel.oom_split", "parallel.oom_splits", "oom_splits", task,
+            nz_start=task.start, nz_stop=task.stop, depth=task.depth,
+            label=oom.label,
+        )
+        halves = _bisect_range(self.job.indices, task.start, task.stop, self.job.rank)
+        self._outstanding[task.slot] += len(halves) - 1
+        self.queues[task.slot].extend(
+            _ChunkTask(task.slot, a, b, task.depth + 1) for a, b in halves
+        )
+
+    def accept(
+        self, task: _ChunkTask, partial: np.ndarray, checksum: float, **attrs
+    ) -> bool:
+        """Take a task's partial, or retry the task if it fails the
+        finiteness sentinel or checksum verification (returns ``False``).
+        ``attrs`` tag those incidents (the process backend's ``worker``).
+        """
+        if self.policy.check_finite and not math.isfinite(checksum):
+            self._note_chunk(
+                "health.nonfinite_partial", "health.nonfinite_partials",
+                "nonfinite_partials", task, **attrs,
+            )
+            self.retry(task, "non-finite partial", health=True)
+            return False
+        if self.policy.verify_partials and not _checksums_match(
+            checksum, float(partial.sum())
+        ):
+            self._note_chunk(
+                "parallel.corrupt_partial", "parallel.corrupt_partials",
+                "corrupt_partials", task, **attrs,
+            )
+            self.retry(task, "corrupt partial (checksum mismatch)")
+            return False
+        slot = task.slot
+        self._pieces[slot].append((task.start, task.stop, partial))
+        self._outstanding[slot] -= 1
+        if self._outstanding[slot] == 0:
+            self.blocks[slot] = self._merge(slot)
+        return True
+
+    def _merge(self, slot: int) -> np.ndarray:
+        pieces = sorted(self._pieces[slot], key=lambda piece: piece[0])
+        self._pieces[slot] = []
+        if len(pieces) == 1:
+            return pieces[0][2]
+        indices, dim = self.job.indices, self.job.dim
+        start, stop = self.job.ranges[slot]
+        rows, _ = chunk_row_block(indices[start:stop], dim)
+        block = np.zeros((rows.shape[0], self.job.cols), dtype=np.float64)
+        for a, b, part in pieces:
+            block[np.searchsorted(rows, chunk_row_block(indices[a:b], dim)[0])] += part
+        return block
 
 
 class Backend(ABC):
@@ -455,11 +447,13 @@ class Backend(ABC):
 class _InProcessBackend(Backend):
     """Shards evaluated in this process, merged by the hierarchical tree.
 
-    Each shard's compact partial comes from :func:`_resilient_partial`;
-    all partials are staged until :func:`hierarchical_merge` reduces
-    them, so reduction memory is ``Σ_s rows_s·S`` and the summation
-    order depends only on the shard layout. Subclasses decide how the
-    shard tasks run (:meth:`_run_shards`).
+    Each shard's queue in the run's :class:`_ShardLedger` is drained on
+    one thread; an injected *hang* here is just a delay — there is no
+    process boundary to kill across, so kill-based hang recovery is a
+    process-backend capability. All shard blocks are staged until
+    :func:`hierarchical_merge` reduces them, so reduction memory is
+    ``Σ_s rows_s·S`` and the summation order depends only on the shard
+    layout. Subclasses decide how the shards run (:meth:`_run_shards`).
     """
 
     def _run_shards(self, run, n_shards: int) -> None:
@@ -470,13 +464,45 @@ class _InProcessBackend(Backend):
         self, job: ParallelJob, report: Optional[ParallelRunReport] = None
     ) -> np.ndarray:
         ctx = self._job_ctx(job)
-        policy = ctx.effective_fallback()
-        injector = ctx.faults
         plans = get_chunk_plans(
             job.tensor, job.ranges, job.memoize, report=report, ctx=ctx
         )
+        ledger = _ShardLedger(job, ctx, report, self.name)
         parent_span = _trace.current_span_id()
-        partials: List[Optional[np.ndarray]] = [None] * len(plans)
+
+        def attempt(task: _ChunkTask) -> None:
+            # Cooperative cancellation/deadline checkpoint: once per
+            # chunk attempt, before any kernel work starts.
+            ctx.check_health(f"{self.name}.chunk")
+            fault = ledger.arm(task)
+            kind = fault[0] if fault is not None else None
+            if kind == "crash":
+                ledger.retry(task, "injected chunk crash")
+                return
+            if kind == "hang":
+                time.sleep(fault[1])
+            cp = (
+                plans[task.slot]
+                if task.depth == 0
+                else get_chunk_plans(
+                    job.tensor, [(task.start, task.stop)], job.memoize, ctx=ctx
+                )[0]
+            )
+            partial = np.empty((cp.n_rows, job.cols), dtype=np.float64)
+            try:
+                checksum = evaluate_chunk(
+                    job.indices[task.start:task.stop],
+                    job.values[task.start:task.stop],
+                    job.dim, job.factor, cp, partial,
+                    memoize=job.memoize, kernel=job.kernel,
+                    chunk_edges=job.chunk_edges, ctx=ctx, fault=fault,
+                )
+            except MemoryLimitError as oom:
+                ledger.split(task, oom)
+            except InjectedFault as exc:
+                ledger.retry(task, str(exc))
+            else:
+                ledger.accept(task, partial, checksum)
 
         def run(slot: int) -> None:
             cp = plans[slot]
@@ -493,9 +519,8 @@ class _InProcessBackend(Backend):
                 worker=worker,
             ):
                 tick = time.perf_counter()
-                partials[slot] = _resilient_partial(
-                    job, ctx, policy, injector, self.name, slot, cp, report
-                )
+                while (task := ledger.next_task(slot)) is not None:
+                    attempt(task)
                 self._fill_chunk_report(
                     report, slot, time.perf_counter() - tick, worker=worker
                 )
@@ -503,7 +528,7 @@ class _InProcessBackend(Backend):
         with self._reserve(ctx, job, sum(cp.n_rows for cp in plans)):
             self._run_shards(run, len(plans))
             return hierarchical_merge(
-                [(cp.rows, partial) for cp, partial in zip(plans, partials)],
+                [(cp.rows, block) for cp, block in zip(plans, ledger.blocks)],
                 job.dim,
                 job.cols,
                 ctx=ctx,
@@ -572,20 +597,6 @@ class _WorkerHandle:
         self.ready = False
 
 
-class _ChunkTask:
-    """One schedulable unit: a chunk slot or an OOM-split sub-range."""
-
-    __slots__ = ("slot", "start", "stop", "rows", "attempt", "depth")
-
-    def __init__(self, slot, start, stop, rows, attempt=0, depth=0) -> None:
-        self.slot = slot
-        self.start = start
-        self.stop = stop
-        self.rows = rows
-        self.attempt = attempt
-        self.depth = depth
-
-
 class ProcessBackend(Backend):
     """Supervised persistent worker processes, each owning one shard.
 
@@ -602,10 +613,11 @@ class ProcessBackend(Backend):
     policy's ``chunk_timeout`` gets the worker killed, and any worker
     loss (hang, crash, OS kill) triggers a respawn — the shard
     re-ingested from the parent's canonical segments, plan caches
-    rewarmed on demand — and a bounded requeue of its task. Chunk OOM
-    replies split the task within the shard instead of failing the run.
-    Shard row-blocks merge through the deterministic hierarchical
-    reduction, so recovered runs are bit-identical to clean ones.
+    rewarmed on demand — and a bounded requeue of its task. Retry,
+    OOM-split and acceptance decisions are the run's
+    :class:`_ShardLedger`'s, as on the in-process backends. Shard
+    row-blocks merge through the deterministic hierarchical reduction,
+    so recovered runs are bit-identical to clean ones.
     """
 
     name = "process"
@@ -628,9 +640,6 @@ class ProcessBackend(Backend):
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else "spawn"
         self._ctx = multiprocessing.get_context(start_method)
-        # spawn-started processes have private resource trackers; see
-        # repro.parallel.shm.attach_shared_array.
-        self._untrack_attach = start_method != "fork"
         self._workers: List[_WorkerHandle] = []
         self._owned: Dict[str, object] = {}  # label -> SharedMemory
         self._factor_view: Optional[np.ndarray] = None
@@ -650,7 +659,7 @@ class ProcessBackend(Backend):
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_shm.worker_main,
-            args=(child_conn, worker_id, self._untrack_attach, self._run_token),
+            args=(child_conn, worker_id, self._run_token),
             name=f"s3ttmc-worker-{worker_id}",
             daemon=True,
         )
@@ -667,19 +676,18 @@ class ProcessBackend(Backend):
     def _ensure_workers(self) -> None:
         if self._workers:
             return
-        if not self._untrack_attach:
-            # Fork path: start the resource tracker *before* forking so
-            # every worker inherits it. With one shared tracker,
-            # register/unregister pairs from creators and attachers
-            # deduplicate and segment cleanup is exact (no spurious
-            # "leaked shared_memory" warnings from per-worker trackers).
-            try:  # pragma: no cover - tracker internals vary across versions
-                from multiprocessing import resource_tracker
+        # Start the resource tracker *before* any worker so every worker
+        # shares it: fork children inherit it, and spawn/forkserver
+        # children are handed its fd. With one shared tracker, creator
+        # and attacher registrations deduplicate and each segment is
+        # unregistered exactly once, by its unlink.
+        try:  # pragma: no cover - tracker internals vary across versions
+            from multiprocessing import resource_tracker
 
-                with _shm.tracker_guard():
-                    resource_tracker.ensure_running()
-            except Exception:
-                pass
+            with _shm.tracker_guard():
+                resource_tracker.ensure_running()
+        except Exception:
+            pass
         self._workers = [
             self._spawn_one(worker_id) for worker_id in range(self.n_workers)
         ]
@@ -734,12 +742,7 @@ class ProcessBackend(Backend):
             # The worker owned its result segment; it died without
             # unlinking, so the parent must — this is the shm-leak fix
             # for abnormal worker exit.
-            old = self._attached_results.pop(handle.result_name, None)
-            if old is not None:
-                try:
-                    old.close()
-                except Exception:
-                    pass
+            self._detach_result(handle.result_name)
             _shm.unlink_segment_by_name(handle.result_name)
             handle.result_name = ""
 
@@ -886,23 +889,13 @@ class ProcessBackend(Backend):
             )
         ctx = self._job_ctx(job)
         policy = ctx.effective_fallback()
-        injector = ctx.faults
         self._ensure_workers()
         shards = self._ensure_shards(job)
         self._ensure_factor(job.factor)
         collector = ctx.effective_collector()
         budget = ctx.effective_budget()
-
-        # Per-owner queues in shard-LOCAL coordinates: [0, n_nz) of the
-        # worker's own slice (the parent maps back via shard.start).
-        queues: Dict[int, Deque[_ChunkTask]] = {
-            s.shard_id: deque([_ChunkTask(s.shard_id, 0, s.n_nz, s.rows)])
-            for s in shards
-        }
+        ledger = _ShardLedger(job, ctx, report, self.name)
         running: Dict[object, _WorkerHandle] = {}  # conn -> handle
-        outstanding = {s.shard_id: 1 for s in shards}
-        split_slots: set = set()
-        sub_partials: Dict[int, List[Tuple[int, np.ndarray, np.ndarray]]] = {}
         task_seq = 0
         respawns_used = 0
         stats = {"hits": 0, "misses": 0, "build": 0.0, "reduce": 0.0}
@@ -913,38 +906,14 @@ class ProcessBackend(Backend):
                     return handle
             return None
 
-        def release(handle: _WorkerHandle) -> None:
+        def release(handle: _WorkerHandle) -> Optional[_ChunkTask]:
             running.pop(handle.conn, None)
-            handle.task = None
-            handle.task_id = -1
-
-        def retry_task(task: _ChunkTask, reason: str, *, health: bool = False) -> None:
-            task.attempt += 1
-            if task.attempt > policy.max_retries:
-                if health:
-                    raise NumericalHealthError(
-                        f"shard {task.slot} chunk [{task.start},{task.stop}) "
-                        f"stayed non-finite after {task.attempt} attempts"
-                    )
-                raise BackendUnhealthyError(
-                    self.name,
-                    f"shard {task.slot} chunk [{task.start},{task.stop}) "
-                    f"failed after {task.attempt} attempts: {reason}",
-                )
-            _note_incident(
-                ctx, report, "parallel.retry", "parallel.retries", "retries",
-                backend=self.name, chunk=task.slot, shard=task.slot,
-                attempt=task.attempt, reason=reason,
-            )
-            backoff = policy.backoff(task.attempt)
-            if backoff > 0:
-                time.sleep(backoff)
-            queues[task.slot].append(task)
+            task, handle.task, handle.task_id = handle.task, None, -1
+            return task
 
         def lose_worker(handle: _WorkerHandle, reason: str, *, kill: bool) -> None:
             nonlocal respawns_used
-            running.pop(handle.conn, None)
-            task = handle.task
+            task = release(handle)
             worker_id = handle.worker_id
             self._retire_worker(handle, kill=kill)
             owns_shard = worker_id in self._shard_msgs
@@ -958,106 +927,39 @@ class ProcessBackend(Backend):
                     )
                 return
             respawns_used += 1
-            _note_incident(
-                ctx, report, "parallel.worker_respawn",
-                "parallel.worker_respawns", "respawns",
-                worker=worker_id, reason=reason,
+            ledger.note(
+                "parallel.worker_respawn", "parallel.worker_respawns",
+                "respawns", worker=worker_id, reason=reason,
             )
             fresh = self._spawn_one(worker_id)
             self._workers.append(fresh)
             self._send_state(fresh)  # re-ingests the worker's shard
             if owns_shard:
-                _note_incident(
-                    ctx, report, "parallel.shard_reingest",
-                    "parallel.shard_reingests", "shard_reingests",
-                    worker=worker_id, shard=worker_id, reason=reason,
+                ledger.note(
+                    "parallel.shard_reingest", "parallel.shard_reingests",
+                    "shard_reingests", worker=worker_id, shard=worker_id,
+                    reason=reason,
                 )
             if task is not None:
-                retry_task(task, reason)
-
-        def split_task(task: _ChunkTask, oom: MemoryLimitError) -> None:
-            if task.depth >= policy.max_oom_splits or task.stop - task.start <= 1:
-                raise oom
-            shard = shards[task.slot]
-            _note_incident(
-                ctx, report, "parallel.oom_split", "parallel.oom_splits",
-                "oom_splits", backend=self.name, chunk=task.slot,
-                shard=task.slot, nz_start=shard.start + task.start,
-                nz_stop=shard.start + task.stop, depth=task.depth,
-                label=oom.label,
-            )
-            split_slots.add(task.slot)
-            halves = _bisect_range(
-                job.indices,
-                shard.start + task.start,
-                shard.start + task.stop,
-                job.rank,
-            )
-            outstanding[task.slot] += len(halves) - 1
-            for gs, ge in halves:
-                rows_sub, _map = chunk_row_block(job.indices[gs:ge], job.dim)
-                queues[task.slot].append(
-                    _ChunkTask(
-                        task.slot,
-                        gs - shard.start,
-                        ge - shard.start,
-                        rows_sub,
-                        depth=task.depth + 1,
-                    )
-                )
-
-        def merge_split_slot(slot: int) -> None:
-            shard = shards[slot]
-            block = blocks[slot]
-            # Start-ordered merge: the summation order is a function of
-            # the split tree alone, never of completion order.
-            for _start, rows_sub, part in sorted(
-                sub_partials.pop(slot, []), key=lambda item: item[0]
-            ):
-                block[np.searchsorted(shard.rows, rows_sub)] += part
+                ledger.retry(task, reason)
 
         def finish(handle: _WorkerHandle, msg: tuple) -> None:
             (
                 _kind, _task_id, result_name, n_rows, checksum,
                 build_s, numeric_s, hit, peak,
             ) = msg
-            task = handle.task
             buffer = self._attach_result(handle, result_name, n_rows, job.cols)
-            if policy.check_finite and not math.isfinite(checksum):
-                _note_incident(
-                    ctx, report, "health.nonfinite_partial",
-                    "health.nonfinite_partials", "nonfinite_partials",
-                    backend=self.name, chunk=task.slot, shard=task.slot,
-                    worker=handle.worker_id,
-                )
-                release(handle)
-                retry_task(task, "non-finite partial", health=True)
-                return
-            if policy.verify_partials and not _checksums_match(
-                checksum, float(buffer.sum())
+            task = release(handle)
+            tick = time.perf_counter()
+            # Copy out of the worker's result buffer: its next chunk
+            # overwrites it.
+            if not ledger.accept(
+                task, np.array(buffer), checksum, worker=handle.worker_id
             ):
-                _note_incident(
-                    ctx, report, "parallel.corrupt_partial",
-                    "parallel.corrupt_partials", "corrupt_partials",
-                    backend=self.name, chunk=task.slot, shard=task.slot,
-                    worker=handle.worker_id,
-                )
-                release(handle)
-                retry_task(task, "corrupt partial (checksum mismatch)")
                 return
+            stats["reduce"] += time.perf_counter() - tick
             if budget is not None and peak:
                 budget.observe_peak(peak)
-            tick = time.perf_counter()
-            if task.slot in split_slots:
-                sub_partials.setdefault(task.slot, []).append(
-                    (task.start, task.rows, np.array(buffer, copy=True))
-                )
-            else:
-                blocks[task.slot][...] = buffer
-            outstanding[task.slot] -= 1
-            if outstanding[task.slot] == 0 and task.slot in split_slots:
-                merge_split_slot(task.slot)
-            stats["reduce"] += time.perf_counter() - tick
             stats["hits"] += bool(hit)
             stats["misses"] += not hit
             stats["build"] += build_s
@@ -1076,38 +978,31 @@ class ProcessBackend(Backend):
                     build_seconds=build_s,
                     plan_cache_hit=bool(hit),
                 )
-            release(handle)
 
         def dispatch_owner(worker_id: int) -> None:
             nonlocal task_seq
-            queue = queues.get(worker_id)
-            if not queue:
-                return
             handle = handle_for(worker_id)
             if handle is None or handle.conn in running:
                 return
-            task = queue.popleft()
-            fault = (
-                injector.arm(
-                    "chunk", backend=self.name, slot=task.slot,
-                    attempt=task.attempt, worker=worker_id, shard=task.slot,
-                )
-                if injector is not None
-                else None
-            )
+            task = ledger.next_task(worker_id)
+            if task is None:
+                return
+            fault = ledger.arm(task, worker=worker_id, shard=task.slot)
+            # The owner's segments hold only its shard: ship the range in
+            # shard-local coordinates.
+            offset = shards[task.slot].start
             task_seq += 1
             try:
                 handle.conn.send(
                     (
-                        "chunk", task_seq, task.start, task.stop,
-                        job.memoize, job.cols, budget_spec,
-                        fault.payload() if fault is not None else None,
-                        policy.heartbeat_interval,
+                        "chunk", task_seq, task.start - offset,
+                        task.stop - offset, job.memoize, job.cols,
+                        budget_spec, fault, policy.heartbeat_interval,
                         job.kernel, job.chunk_edges,
                     )
                 )
             except (OSError, BrokenPipeError, ValueError):
-                queues[task.slot].appendleft(task)
+                ledger.queues[task.slot].appendleft(task)
                 lose_worker(handle, "shard owner died while idle", kill=True)
                 return
             handle.task = task
@@ -1116,9 +1011,6 @@ class ProcessBackend(Backend):
             running[handle.conn] = handle
 
         with self._reserve(ctx, job, sum(s.n_rows for s in shards)):
-            blocks = [
-                np.zeros((s.n_rows, job.cols), dtype=np.float64) for s in shards
-            ]
             # Snapshot the budget *after* the reservation so the workers'
             # mirrored budgets sit on top of everything the parent has
             # already committed for this run.
@@ -1126,16 +1018,16 @@ class ProcessBackend(Backend):
                 (budget.limit_bytes, budget.in_use) if budget is not None else None
             )
             try:
-                while running or any(queues.values()):
+                while running or ledger.pending():
                     # Raising here escapes into the BaseException handler
                     # below: in-flight owners are killed and the pool
                     # reset, so a cancelled/expired run leaves nothing
                     # running.
                     ctx.check_health("process.supervisor")
-                    for worker_id in list(queues):
+                    for worker_id in ledger.queues:
                         dispatch_owner(worker_id)
                     if not running:
-                        if not self._workers and any(queues.values()):
+                        if not self._workers and ledger.pending():
                             raise BackendUnhealthyError(
                                 self.name, "no workers available"
                             )
@@ -1164,7 +1056,7 @@ class ProcessBackend(Backend):
                             # recorded before the first chunk_done so a
                             # worker killed mid-chunk cannot leak it.
                             if msg[1] == handle.task_id:
-                                self._note_result_announce(handle, msg[2])
+                                self._track_result(handle, msg[2])
                                 handle.last_heard = time.monotonic()
                         elif msg[1] != handle.task_id:
                             continue  # reply for a superseded dispatch
@@ -1172,17 +1064,13 @@ class ProcessBackend(Backend):
                             finish(handle, msg)
                         elif kind == "chunk_oom":
                             _k, _tid, label, nbytes, limit, in_use = msg
-                            task = handle.task
-                            release(handle)
-                            split_task(
-                                task,
+                            ledger.split(
+                                release(handle),
                                 MemoryLimitError(label, nbytes, limit, in_use),
                             )
                         elif kind == "chunk_error":
-                            task = handle.task
-                            release(handle)
-                            retry_task(
-                                task,
+                            ledger.retry(
+                                release(handle),
                                 f"worker error: {str(msg[2]).splitlines()[0]}",
                             )
                     if policy.chunk_timeout is not None:
@@ -1200,7 +1088,7 @@ class ProcessBackend(Backend):
                                 )
 
                 out = hierarchical_merge(
-                    [(s.rows, block) for s, block in zip(shards, blocks)],
+                    [(s.rows, block) for s, block in zip(shards, ledger.blocks)],
                     job.dim,
                     job.cols,
                     ctx=ctx,
@@ -1225,25 +1113,25 @@ class ProcessBackend(Backend):
                 self._reset_workers()
                 raise
 
-    def _note_result_announce(self, handle: _WorkerHandle, name: str) -> None:
-        """Record a worker's result-segment name from its announcement.
+    def _detach_result(self, name: str) -> None:
+        shm = self._attached_results.pop(name, None)
+        if shm is not None:
+            try:
+                shm.close()
+            except Exception:
+                pass
+
+    def _track_result(self, handle: _WorkerHandle, name: str) -> None:
+        """Record ``name`` as the worker's result segment.
 
         Workers announce their (worker-owned) result segment as soon as
         it is created or regrown — *before* computing the chunk — so the
         parent's :meth:`_retire_worker` unlink path covers a worker
-        killed mid-first-chunk (previously the name was only learned
-        from the first ``chunk_done`` reply, leaking the segment when a
-        cancellation or hang kill landed earlier). A regrow makes the
-        previous attachment stale; drop it here, exactly as
-        :meth:`_attach_result` would.
+        killed mid-first-chunk. A regrow unlinked the previous segment,
+        so our attachment to it is stale: drop it.
         """
-        if handle.result_name and handle.result_name != name:
-            old = self._attached_results.pop(handle.result_name, None)
-            if old is not None:
-                try:
-                    old.close()
-                except Exception:
-                    pass
+        if handle.result_name != name:
+            self._detach_result(handle.result_name)
         handle.result_name = name
 
     def _attach_result(
@@ -1252,20 +1140,9 @@ class ProcessBackend(Backend):
         shm = self._attached_results.get(name)
         if shm is None:
             spec = _shm.ShmArraySpec(name, (1,), "float64")
-            shm, _view = _shm.attach_shared_array(
-                spec, untrack=self._untrack_attach
-            )
-            if handle.result_name and handle.result_name != name:
-                # The worker grew (and unlinked) its old buffer; drop our
-                # stale attachment.
-                old = self._attached_results.pop(handle.result_name, None)
-                if old is not None:
-                    try:
-                        old.close()
-                    except Exception:
-                        pass
+            shm, _view = _shm.attach_shared_array(spec)
             self._attached_results[name] = shm
-        handle.result_name = name
+        self._track_result(handle, name)
         return np.ndarray((n_rows, cols), dtype=np.float64, buffer=shm.buf)
 
 

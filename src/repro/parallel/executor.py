@@ -49,8 +49,9 @@ from ..core.plan import TTMcPlan, build_plan
 from ..core.s3ttmc import SymmetricInput, _as_ucoo
 from ..formats.partial_sym import PartiallySymmetricTensor
 from ..obs import trace as _trace
+from ..runtime.budget import MemoryLimitError
 from ..runtime.context import ExecContext, resolve_context
-from ..runtime.faults import BackendUnhealthyError
+from ..runtime.faults import BackendUnhealthyError, InjectedFault
 from ..symmetry.combinatorics import sym_storage_size
 from .sharding import chunk_row_block, partition_ranges, shard_resident_bytes
 
@@ -58,7 +59,9 @@ __all__ = [
     "ChunkPlan",
     "ParallelJob",
     "ParallelRunReport",
+    "build_chunk_plan",
     "chunk_row_block",
+    "evaluate_chunk",
     "get_chunk_plans",
     "parallel_s3ttmc",
     "partition_ranges",
@@ -201,6 +204,92 @@ def _count_cache(
         report.plan_cache_misses += misses
 
 
+def build_chunk_plan(
+    indices: np.ndarray, start: int, stop: int, dim: int, memoize: str
+) -> ChunkPlan:
+    """Row block and lattice plan of non-zeros ``[start, stop)``, timed.
+
+    The one plan build behind :func:`get_chunk_plans` and the process
+    workers' own plan caches.
+    """
+    tick = time.perf_counter()
+    rows, row_map = chunk_row_block(indices[start:stop], dim)
+    plan = build_plan(indices[start:stop], memoize)
+    return ChunkPlan(start, stop, rows, row_map, plan, time.perf_counter() - tick)
+
+
+def evaluate_chunk(
+    indices: np.ndarray,
+    values: np.ndarray,
+    dim: int,
+    factor: np.ndarray,
+    cp: ChunkPlan,
+    out: np.ndarray,
+    *,
+    memoize: str,
+    kernel: str,
+    chunk_edges: Optional[int],
+    ctx: ExecContext,
+    fault: Optional[Tuple[str, float]],
+) -> float:
+    """Evaluate one chunk's compact partial into ``out``; return its checksum.
+
+    ``indices``/``values`` are the chunk's own non-zeros and ``cp`` their
+    plan. Every backend runs chunks through this one function — the
+    in-process backends directly, process workers from
+    :func:`repro.parallel.shm.worker_main` — so the kernel call and fault
+    execution are identical everywhere. ``fault`` is ``None`` or the
+    ``(kind, param)`` payload of a fault the parent armed
+    (:meth:`~repro.runtime.faults.FaultSpec.payload`):
+
+    * ``slow`` — sleep ``param`` seconds (pure latency: never trips hang
+      detection, but burns the run's wall-clock deadline);
+    * ``oom`` — raise :class:`~repro.runtime.budget.MemoryLimitError` as a
+      too-large chunk would;
+    * ``error`` — raise :class:`~repro.runtime.faults.InjectedFault`;
+    * ``nan`` — poison the partial *before* its checksum is taken (the
+      non-finite sum rides the checksum to the finiteness sentinel);
+    * ``corrupt`` — perturb the partial by ``param`` *after* its checksum
+      was taken (evades the sentinel, caught by checksum verification).
+
+    ``crash`` and ``hang`` act differently per site (a retry or a plain
+    sleep in-process; ``os._exit`` or a heartbeat-silent sleep in a
+    worker), so the caller executes them, before it builds the plan or
+    the buffer: a worker that dies there leaves no segment behind.
+
+    The checksum is taken at the producer; the consumer compares it with
+    its own sum of the partial it received.
+    """
+    kind, param = fault if fault is not None else (None, 0.0)
+    if kind == "slow":
+        time.sleep(float(param))
+    elif kind == "oom":
+        raise MemoryLimitError("injected chunk oom", 0, 0, 0)
+    elif kind == "error":
+        raise InjectedFault("injected chunk error")
+    out[...] = 0.0
+    lattice_ttmc(
+        indices,
+        values,
+        dim,
+        factor,
+        intermediate="compact",
+        memoize=memoize,
+        kernel=kernel,
+        chunk_edges=chunk_edges,
+        out=out,
+        out_row_map=cp.row_map,
+        plan=cp.plan,
+        ctx=ctx,
+    )
+    if kind == "nan" and out.size:
+        out.flat[0] = np.nan
+    checksum = float(out.sum())
+    if kind == "corrupt" and out.size:
+        out.flat[0] += float(param)
+    return checksum
+
+
 def get_chunk_plans(
     tensor,
     ranges: Sequence[Tuple[int, int]],
@@ -228,26 +317,14 @@ def get_chunk_plans(
         _count_cache(len(plans), 0, report, ctx)
         return plans
 
-    indices = tensor.indices
     out: List[ChunkPlan] = []
     for slot, (start, stop) in enumerate(ranges):
-        rows, row_map = chunk_row_block(indices[start:stop], tensor.dim)
         with ctx.span(
             "parallel.plan_build", chunk=slot, nz_start=start, nz_stop=stop
         ):
-            tick = time.perf_counter()
-            plan = build_plan(indices[start:stop], memoize)
-            build_seconds = time.perf_counter() - tick
-        out.append(
-            ChunkPlan(
-                start=start,
-                stop=stop,
-                rows=rows,
-                row_map=row_map,
-                plan=plan,
-                build_seconds=build_seconds,
+            out.append(
+                build_chunk_plan(tensor.indices, start, stop, tensor.dim, memoize)
             )
-        )
     cache[key] = out
     _count_cache(0, len(out), report, ctx)
     if report is not None:

@@ -19,7 +19,6 @@ __all__ = [
     "estimate_nonzero_costs",
     "block_partition",
     "balanced_partition",
-    "assign_chunks",
 ]
 
 
@@ -92,29 +91,3 @@ def balanced_partition(costs: np.ndarray, n_parts: int) -> List[Tuple[int, int]]
     bounds[0], bounds[-1] = 0, n
     bounds = np.maximum.accumulate(bounds)
     return [(int(bounds[i]), int(bounds[i + 1])) for i in range(n_parts)]
-
-
-def assign_chunks(sizes: "np.ndarray | List[float]", n_workers: int) -> List[List[int]]:
-    """LPT assignment of chunk ids to workers.
-
-    Greedy longest-processing-time: chunks sorted by decreasing ``sizes``
-    go to the currently least-loaded worker. With ``n_chunks == n_workers``
-    (the executor default) this degenerates to one chunk per worker; with
-    over-decomposition it balances uneven chunks.
-    """
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
-    sizes = np.asarray(sizes, dtype=np.float64)
-    assignment: List[List[int]] = [[] for _ in range(n_workers)]
-    loads = np.zeros(n_workers, dtype=np.float64)
-    counts = np.zeros(n_workers, dtype=np.int64)
-    for chunk in np.argsort(-sizes, kind="stable"):
-        # Tie-break equal loads by chunk count so all-zero sizes spread
-        # round-robin instead of piling every chunk onto worker 0.
-        worker = int(np.lexsort((counts, loads))[0])
-        assignment[worker].append(int(chunk))
-        loads[worker] += sizes[chunk]
-        counts[worker] += 1
-    for chunks in assignment:
-        chunks.sort()
-    return assignment

@@ -57,7 +57,6 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from multiprocessing import resource_tracker
 from multiprocessing.connection import Connection
 from multiprocessing.shared_memory import SharedMemory
 from typing import Dict, Optional, Tuple
@@ -268,24 +267,17 @@ def create_shared_array(
 
 
 def attach_shared_array(
-    spec: ShmArraySpec, *, writeable: bool = False, untrack: bool = False
+    spec: ShmArraySpec, *, writeable: bool = False
 ) -> Tuple[SharedMemory, np.ndarray]:
     """Map an existing segment; the attachment never owns the segment.
 
-    ``untrack=True`` works around bpo-38119 for **spawn**-started
-    processes: their private ``resource_tracker`` registers the attach
-    and would unlink the creator's segment at exit. Under **fork** the
-    tracker is shared with the creator, registration is set-deduplicated,
-    and unregistering here would instead *cancel* the creator's
-    registration — so leave it off (the default).
+    The attach registers the name with the resource tracker, which the
+    process backend's workers share with the parent under every start
+    method, so the registration deduplicates against the creator's and
+    the creator's unlink is the one unregistration.
     """
     with tracker_guard():
         shm = SharedMemory(name=spec.name)
-        if untrack:
-            try:  # pragma: no cover - tracker internals vary across versions
-                resource_tracker.unregister(shm._name, "shared_memory")  # type: ignore[attr-defined]
-            except Exception:
-                pass
     view = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=shm.buf)
     if not writeable:
         view.flags.writeable = False
@@ -346,9 +338,13 @@ class _Heartbeat:
         with self._state:
             self._task_id = None
 
-    def suppress(self, flag: bool) -> None:
+    def silent_sleep(self, seconds: float) -> None:
+        """Sleep with beats suppressed, as a wedged process would."""
         with self._state:
-            self._suppressed = flag
+            self._suppressed = True
+        time.sleep(seconds)
+        with self._state:
+            self._suppressed = False
 
     def close(self) -> None:
         self._stop.set()
@@ -373,8 +369,7 @@ class _Heartbeat:
 class _WorkerState:
     """Everything one worker process keeps alive between calls."""
 
-    def __init__(self, untrack_attach: bool = False, run_token: str = "") -> None:
-        self.untrack_attach = untrack_attach
+    def __init__(self, run_token: str = "") -> None:
         self.run_token = run_token
         self.shard_gen = -1
         self.shard_id = -1  # >= 0 once this worker owns a tensor shard
@@ -384,7 +379,7 @@ class _WorkerState:
         self.values: Optional[np.ndarray] = None
         self.factor: Optional[np.ndarray] = None
         self.factor_name = ""
-        # (shard_gen, start, stop, memoize) -> (plan, rows, row_map)
+        # (shard_gen, start, stop, memoize) -> ChunkPlan
         self.plan_cache: Dict[tuple, tuple] = {}
         # Worker-side PlanCache: compiled-kernel gather tables persist
         # across chunk calls (keyed by plan stamp, so a new shard
@@ -401,7 +396,7 @@ class _WorkerState:
                 old.close()
             except Exception:
                 pass
-        shm, view = attach_shared_array(spec, untrack=self.untrack_attach)
+        shm, view = attach_shared_array(spec)
         self.segments[key] = shm
         return view
 
@@ -432,9 +427,9 @@ def _run_chunk(
     budget_spec,
     fault,
     heartbeat: _Heartbeat,
-    kernel: str = "generic",
-    chunk_edges=None,
-    notify_result=None,
+    kernel: str,
+    chunk_edges,
+    notify_result,
 ):
     """Evaluate one chunk into the worker's result buffer.
 
@@ -445,54 +440,30 @@ def _run_chunk(
     limit-checked exactly as they would be in-process. The worker's peak
     is reported back for the parent to fold in.
 
-    ``fault`` is ``None`` or ``(kind, param)`` shipped by the parent's
-    armed :class:`~repro.runtime.faults.FaultInjector`:
+    The chunk runs through :func:`~repro.parallel.executor.evaluate_chunk`
+    like every in-process chunk; ``fault`` is the parent-armed payload it
+    executes. The two kinds that act differently in a worker run here,
+    first: ``crash`` exits the process (``os._exit(3)``, pipe EOF at the
+    parent) and ``hang`` sleeps with heartbeats suppressed.
 
-    * ``crash`` — ``os._exit(3)`` (pipe EOF at the parent);
-    * ``hang`` — sleep ``param`` seconds with heartbeats suppressed;
-    * ``slow`` — sleep ``param`` seconds with heartbeats *running*
-      (pure latency: never trips hang detection, but burns the run's
-      wall-clock deadline);
-    * ``oom`` — raise a :class:`~repro.runtime.budget.MemoryLimitError`
-      as a too-large chunk would;
-    * ``corrupt`` — perturb the result *after* its checksum was taken
-      (caught by the parent's partial verification);
-    * ``nan`` — poison the result *before* its checksum is taken (the
-      non-finite sum is caught by the parent's finiteness sentinel);
-    * ``error`` — raise a generic injected exception.
-
-    ``notify_result`` (when given) is called with the result segment's
-    name as soon as the buffer exists — before any numeric work — so the
-    parent can reclaim the segment even if this worker is killed
-    mid-chunk.
+    ``notify_result`` is called with the result segment's name as soon
+    as the buffer exists — before any numeric work — so the parent can
+    reclaim the segment even if this worker is killed mid-chunk.
 
     Returns ``(result_name, n_rows, checksum, build_s, numeric_s,
     plan_cache_hit, peak_bytes)``.
     """
-    from ..core.engine import lattice_ttmc
-    from ..core.plan import build_plan
-    from ..runtime.budget import MemoryBudget, MemoryLimitError
+    from ..runtime.budget import MemoryBudget
     from ..runtime.context import ExecContext
-    from ..runtime.faults import InjectedFault
-    from .executor import chunk_row_block
+    from .executor import build_chunk_plan, evaluate_chunk
 
     assert state.indices is not None and state.values is not None
     assert state.factor is not None
 
-    if fault is not None:
-        kind, param = fault
-        if kind == "crash":
-            os._exit(3)
-        elif kind == "hang":
-            heartbeat.suppress(True)
-            time.sleep(float(param))
-            heartbeat.suppress(False)
-        elif kind == "slow":
-            time.sleep(float(param))
-        elif kind == "oom":
-            raise MemoryLimitError("injected chunk oom", 0, 0, 0)
-        elif kind == "error":
-            raise InjectedFault("injected worker error")
+    if fault is not None and fault[0] == "crash":
+        os._exit(3)
+    if fault is not None and fault[0] == "hang":
+        heartbeat.silent_sleep(float(fault[1]))
 
     budget = None
     if budget_spec is not None:
@@ -502,63 +473,41 @@ def _run_chunk(
         budget.peak = int(base_in_use)
 
     key = (state.shard_gen, start, stop, memoize)
-    cached = state.plan_cache.get(key)
-    hit = cached is not None
-    build_seconds = 0.0
-    if cached is None:
-        tick = time.perf_counter()
-        rows, row_map = chunk_row_block(state.indices[start:stop], state.dim)
-        plan = build_plan(state.indices[start:stop], memoize)
-        build_seconds = time.perf_counter() - tick
-        cached = (plan, rows, row_map)
-        state.plan_cache[key] = cached
-    plan, rows, row_map = cached
-    n_rows = rows.shape[0]
+    cp = state.plan_cache.get(key)
+    hit = cp is not None
+    if cp is None:
+        cp = state.plan_cache[key] = build_chunk_plan(
+            state.indices, start, stop, state.dim, memoize
+        )
 
-    shm = state.ensure_result(n_rows * cols * 8)
-    if notify_result is not None:
-        notify_result(shm.name)
-    block = np.ndarray((n_rows, cols), dtype=np.float64, buffer=shm.buf)
-    block[...] = 0.0
-    # The kernel is driven under an explicit per-call ExecContext carrying
-    # the mirrored budget; relying on ambient state here would be wrong
-    # twice over — the fork may have inherited the parent's thread-local
-    # context stack, and a bare budget push would not survive it.
-    worker_ctx = ExecContext(budget=budget, plans=state.plans)
+    shm = state.ensure_result(cp.n_rows * cols * 8)
+    notify_result(shm.name)
+    block = np.ndarray((cp.n_rows, cols), dtype=np.float64, buffer=shm.buf)
     tick = time.perf_counter()
-    lattice_ttmc(
+    checksum = evaluate_chunk(
         state.indices[start:stop],
         state.values[start:stop],
         state.dim,
         state.factor,
-        intermediate="compact",
+        cp,
+        block,
         memoize=memoize,
         kernel=kernel,
         chunk_edges=chunk_edges,
-        out=block,
-        out_row_map=row_map,
-        plan=plan,
-        ctx=worker_ctx,
+        # An explicit per-call context carrying the mirrored budget:
+        # ambient state here would be wrong twice over — the fork may
+        # have inherited the parent's thread-local context stack, and a
+        # bare budget push would not survive it.
+        ctx=ExecContext(budget=budget, plans=state.plans),
+        fault=fault,
     )
     numeric_seconds = time.perf_counter() - tick
-    # nan poisons *before* the checksum (rides it to the parent's
-    # finiteness sentinel); corrupt perturbs *after* (evades it, caught
-    # by partial verification instead).
-    if fault is not None and fault[0] == "nan" and block.size:
-        block.flat[0] = np.nan
-    checksum = float(block.sum())
-    if fault is not None and fault[0] == "corrupt" and block.size:
-        block.flat[0] += float(fault[1])
     peak = budget.peak if budget is not None else 0
-    return shm.name, n_rows, checksum, build_seconds, numeric_seconds, hit, peak
+    build_seconds = 0.0 if hit else cp.build_seconds
+    return shm.name, cp.n_rows, checksum, build_seconds, numeric_seconds, hit, peak
 
 
-def worker_main(
-    conn: Connection,
-    worker_id: int,
-    untrack_attach: bool = False,
-    run_token: str = "",
-) -> None:
+def worker_main(conn: Connection, worker_id: int, run_token: str = "") -> None:
     """Persistent worker loop; one per process, fed over a duplex pipe.
 
     Once started up the worker sends ``("ready", -1)``: under ``spawn``
@@ -605,7 +554,7 @@ def worker_main(
     # of the parent's budget would be silently invisible — so drop it and
     # run against this process's own ambient state.
     reset_thread_runtime_state()
-    state = _WorkerState(untrack_attach, run_token)
+    state = _WorkerState(run_token)
     send_lock = threading.Lock()
     heartbeat = _Heartbeat(conn, send_lock)
 

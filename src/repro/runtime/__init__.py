@@ -25,12 +25,10 @@ from .context import (
 from .faults import (
     DEFAULT_FALLBACK,
     BackendUnhealthyError,
-    CorruptPartialError,
     FallbackPolicy,
     FaultInjector,
     FaultSpec,
     InjectedFault,
-    WorkerCrashError,
     faults_from_env,
     parse_fault_specs,
     parse_policy_spec,
@@ -65,8 +63,6 @@ __all__ = [
     "FallbackPolicy",
     "DEFAULT_FALLBACK",
     "InjectedFault",
-    "WorkerCrashError",
-    "CorruptPartialError",
     "BackendUnhealthyError",
     "faults_from_env",
     "parse_fault_specs",

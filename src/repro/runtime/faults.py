@@ -21,11 +21,9 @@ module is the *policy* half of the fault-tolerance layer (the
   (hang detection via heartbeats), OOM bisection depth, and the
   degradation chain (``process → thread → serial``) taken when a
   backend is declared unhealthy.
-* The failure taxonomy: :class:`InjectedFault` (test-only marker),
-  :class:`WorkerCrashError` (a worker died or simulated dying),
-  :class:`CorruptPartialError` (a partial failed checksum
-  verification), and :class:`BackendUnhealthyError` (a backend
-  exhausted its retry/respawn budget and should be degraded).
+* The failure taxonomy: :class:`InjectedFault` (test-only marker) and
+  :class:`BackendUnhealthyError` (a backend exhausted its retry/respawn
+  budget and should be degraded).
 
 Usage::
 
@@ -42,7 +40,7 @@ Fault kinds
 -----------
 ``crash``
     Process worker: ``os._exit`` mid-job (pipe EOF at the parent).
-    Thread/serial: raise :class:`WorkerCrashError` from the chunk.
+    Thread/serial: the chunk attempt fails and is retried.
 ``hang``
     Sleep ``seconds`` with heartbeats suppressed — trips the
     supervisor's deadline when one is set.
@@ -76,13 +74,11 @@ import numpy as np
 __all__ = [
     "FAULT_KINDS",
     "BackendUnhealthyError",
-    "CorruptPartialError",
     "DEFAULT_FALLBACK",
     "FallbackPolicy",
     "FaultInjector",
     "FaultSpec",
     "InjectedFault",
-    "WorkerCrashError",
     "faults_from_env",
     "parse_fault_specs",
     "parse_policy_spec",
@@ -106,24 +102,6 @@ POLICY_ENV_VAR = "REPRO_POLICY"
 
 class InjectedFault(RuntimeError):
     """Marker base for failures raised by the fault-injection framework."""
-
-
-class WorkerCrashError(RuntimeError):
-    """A worker died (real pipe EOF / nonzero exit, or injected crash).
-
-    Retryable: the supervisor respawns the worker (process backend) or
-    simply re-runs the chunk (thread/serial) up to the policy's retry
-    ceiling.
-    """
-
-
-class CorruptPartialError(RuntimeError):
-    """A chunk partial failed checksum verification.
-
-    Raised by the backends when the received partial's sum does not
-    match the checksum computed at production time — the partial is
-    discarded and the chunk recomputed.
-    """
 
 
 class BackendUnhealthyError(RuntimeError):

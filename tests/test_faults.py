@@ -5,9 +5,12 @@ The central claim under test: a faulted run *converges to the same
 answer* as a clean one. Crash / hang / corrupt recovery re-executes the
 exact same chunk into the exact same staging slot, so those paths are
 required to be **bitwise** identical; OOM bisection changes the
-summation order inside one chunk, so it is required to agree to
-floating-point tolerance only.
+summation order inside one chunk, so it is required to agree with the
+clean run to floating-point tolerance only — but runs that follow the
+same split tree are bitwise-equal across serial, thread and process.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -289,6 +292,48 @@ class TestRecoveryEquivalence:
         # floating-point tolerance, not bitwise.
         assert np.allclose(got, clean, atol=1e-12), backend
 
+    def test_nested_oom_split_bitwise_across_backends(self):
+        """One shard: the whole chunk OOMs, then its *second* half OOMs
+        again and the first of those quarters crashes once. Every
+        backend follows the same split tree and merges the pieces in
+        start order, so the results agree bit for bit."""
+        rng = np.random.default_rng(11)
+        x = make_random_tensor(4, 10, 60, rng)
+        u = rng.random((10, 3))
+        clean = parallel_s3ttmc(x, u, 1, backend="serial").unfolding
+        runs = {}
+        for backend in ("serial", "thread", "process"):
+            # Arm order on one shard is deterministic: root (oom), first
+            # half, second half (oom), its first quarter (crash), ...
+            ctx = ExecContext(
+                faults=FaultInjector(
+                    [
+                        FaultSpec(site="chunk", kind="oom"),
+                        FaultSpec(site="chunk", kind="oom", after=2),
+                        FaultSpec(site="chunk", kind="crash", after=3),
+                    ]
+                ),
+                fallback=FAST,
+            )
+            report = ParallelRunReport()
+            with TraceCollector() as col:
+                got = parallel_s3ttmc(
+                    x, u, 1, backend=backend, ctx=ctx, report=report
+                )
+            splits = [e.attrs for e in col.events if e.name == "parallel.oom_split"]
+            assert [a["depth"] for a in splits] == [0, 1], backend
+            assert splits[1]["nz_stop"] == splits[0]["nz_stop"], backend
+            assert ctx.faults.n_fired == 3, backend
+            assert report.backend == backend
+            runs[backend] = (got.unfolding, report.oom_splits, report.retries)
+        serial, oom_splits, retries = runs["serial"]
+        assert (oom_splits, retries) == (2, 1)
+        for backend in ("thread", "process"):
+            got, b_splits, b_retries = runs[backend]
+            assert np.array_equal(got, serial), backend
+            assert (b_splits, b_retries) == (oom_splits, retries), backend
+        assert np.allclose(serial, clean, atol=1e-12)
+
     def test_process_hang_detected_and_respawned(self):
         clean, got, report, injector = self._run(
             "process",
@@ -358,6 +403,32 @@ class TestRecoveryEquivalence:
         assert _counter(col, "parallel.oom_splits") == 1
         assert len([e for e in col.events if e.name == "parallel.retry"]) == 1
         assert len([e for e in col.events if e.name == "parallel.oom_split"]) == 1
+
+    def test_thread_incident_counts_survive_contention(self):
+        """Eight shard threads (more than cores) each retry once, with a
+        tiny switch interval: a lost update to the shared report would
+        show as fewer retries than shards."""
+        rng = np.random.default_rng(7)
+        x = make_random_tensor(4, 12, 160, rng)
+        u = rng.random((12, 3))
+        clean = parallel_s3ttmc(x, u, 8, backend="thread").unfolding
+        ctx = ExecContext(
+            faults=FaultInjector(
+                [FaultSpec(site="chunk", kind="crash", match={"attempt": 0}, times=8)]
+            ),
+            fallback=FAST.with_(backoff_seconds=0.0),
+        )
+        report = ParallelRunReport()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = parallel_s3ttmc(x, u, 8, backend="thread", ctx=ctx, report=report)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(report.ranges) == 8
+        assert ctx.faults.n_fired == 8
+        assert report.retries == 8
+        assert np.array_equal(got.unfolding, clean)
 
 
 class TestBackendFallback:

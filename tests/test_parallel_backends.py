@@ -1,6 +1,10 @@
 """Backend tests: correctness across backends, plan-cache reuse,
 process-worker persistence, and decomposition wiring."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -17,7 +21,6 @@ from repro.parallel import (
     make_backend,
     parallel_s3ttmc,
 )
-from repro.parallel.partition import assign_chunks
 from tests.conftest import make_random_tensor
 
 
@@ -132,22 +135,6 @@ class TestProcessBackend:
             assert report.backend == name
             assert report.sharding == "owned"
             assert report.elapsed > 0
-
-
-class TestAssignChunks:
-    def test_lpt_balances(self):
-        assignment = assign_chunks([5.0, 4.0, 3.0, 3.0, 2.0, 1.0], 2)
-        loads = [sum([5.0, 4.0, 3.0, 3.0, 2.0, 1.0][i] for i in w) for w in assignment]
-        assert abs(loads[0] - loads[1]) <= 2.0
-        assert sorted(i for w in assignment for i in w) == list(range(6))
-
-    def test_one_chunk_per_worker(self):
-        assignment = assign_chunks([1.0, 1.0, 1.0], 3)
-        assert sorted(map(tuple, assignment)) == [(0,), (1,), (2,)]
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            assign_chunks([1.0], 0)
 
 
 class TestReportDefaults:
@@ -292,3 +279,49 @@ class TestShmRunTokens:
         assert np.allclose(results["one"], s3ttmc(x1, u1).unfolding, atol=1e-10)
         assert np.allclose(results["two"], s3ttmc(x2, u2).unfolding, atol=1e-10)
         assert set(_shm._LIVE_SEGMENTS) == before
+
+
+_SPAWN_PROBE = """
+import numpy as np
+from repro.formats.ucoo import SparseSymmetricTensor
+from repro.parallel import ProcessBackend, parallel_s3ttmc
+
+rng = np.random.default_rng(0)
+x = SparseSymmetricTensor(
+    4, 10, rng.integers(0, 10, size=(60, 4)), rng.uniform(0.1, 1.0, 60),
+    combine="first",
+)
+u = rng.random((10, 3))
+with ProcessBackend(2, start_method="spawn", run_token={token!r}) as backend:
+    for _ in range(2):
+        parallel_s3ttmc(x, u, 2, backend=backend)
+"""
+
+
+@pytest.mark.skipif(
+    "spawn" not in multiprocessing.get_all_start_methods()
+    or not os.path.isdir("/dev/shm"),
+    reason="needs the spawn start method and a /dev/shm listing",
+)
+class TestSpawnResourceTracker:
+    def test_spawn_run_prints_no_tracker_traceback_and_leaks_nothing(self):
+        """Spawned workers share the parent's resource tracker, so an
+        attach must not unregister the creator's segment: if it did, the
+        creator's later unlink would unregister the name twice and the
+        tracker would print ``KeyError`` tracebacks."""
+        token = "5a7f" + os.urandom(2).hex()
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        # stderr is read to EOF, which includes the tracker's exit output.
+        proc = subprocess.run(
+            [sys.executable, "-c", _SPAWN_PROBE.format(token=token)],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            cwd=root,
+            env=env,
+            timeout=120,
+        )
+        stderr = proc.stderr.decode()
+        assert proc.returncode == 0, stderr
+        assert "KeyError" not in stderr, stderr
+        assert not [n for n in os.listdir("/dev/shm") if f"rp{token}" in n]

@@ -1,17 +1,15 @@
 """Degenerate-input regressions for the non-zero partitioner.
 
-``balanced_partition`` / ``assign_chunks`` feed both the chunked executor
-and the sharder, so a malformed range (overlap, gap, reversed bounds) or
-a lopsided assignment on pathological inputs would corrupt every layer
-above. These cases pin the degenerate inputs: more parts than non-zeros,
-all-zero costs, empty tensors.
+``balanced_partition`` feeds both the chunked executor and the sharder,
+so a malformed range (overlap, gap, reversed bounds) on pathological
+inputs would corrupt every layer above. These cases pin the degenerate
+inputs: more parts than non-zeros, all-zero costs, empty tensors.
 """
 
 import numpy as np
 import pytest
 
 from repro.parallel.partition import (
-    assign_chunks,
     balanced_partition,
     block_partition,
     estimate_nonzero_costs,
@@ -71,36 +69,6 @@ class TestBalancedPartitionDegenerate:
     def test_invalid_n_parts(self):
         with pytest.raises(ValueError):
             balanced_partition(np.array([1.0]), 0)
-
-
-class TestAssignChunksDegenerate:
-    def test_all_zero_sizes_spread_round_robin(self):
-        # Equal (zero) loads used to pile every chunk onto worker 0; the
-        # count tie-break must spread them.
-        assignment = assign_chunks(np.zeros(6), 3)
-        assert [len(chunks) for chunks in assignment] == [2, 2, 2]
-        assert sorted(c for chunks in assignment for c in chunks) == list(range(6))
-
-    def test_all_equal_sizes_spread_evenly(self):
-        assignment = assign_chunks(np.ones(8), 4)
-        assert [len(chunks) for chunks in assignment] == [2, 2, 2, 2]
-
-    def test_empty_sizes(self):
-        assert assign_chunks(np.zeros(0), 3) == [[], [], []]
-
-    def test_more_workers_than_chunks(self):
-        assignment = assign_chunks(np.array([2.0, 1.0]), 5)
-        lengths = sorted(len(chunks) for chunks in assignment)
-        assert lengths == [0, 0, 0, 1, 1]
-
-    def test_lpt_balances_uneven_sizes(self):
-        assignment = assign_chunks(np.array([4.0, 3.0, 2.0, 1.0]), 2)
-        loads = [sum((4.0, 3.0, 2.0, 1.0)[c] for c in chunks) for chunks in assignment]
-        assert sorted(loads) == [5.0, 5.0]
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            assign_chunks(np.ones(3), 0)
 
 
 class TestEstimateCosts:
